@@ -48,8 +48,7 @@ def _fmt(v):
 class _Context:
     """Caches the big sieve table across items."""
 
-    def __init__(self, threads: int = 1):
-        self.threads = threads
+    def __init__(self):
         self._tables: dict[int, arith.ArithTable] = {}
 
     def table(self, N: int) -> arith.ArithTable:
@@ -204,7 +203,7 @@ def a9_heisenberg_orbit(ctx) -> tuple[bool, dict]:
 def a10_obstruction_contrast(ctx) -> tuple[bool, dict]:
     a1 = obstruction.build("A1", 10**5, 0.1)
     bias = obstruction.linear_bias(a1)
-    ratio4 = obstruction.ap_stats(a1, 4, threads=ctx.threads)["ratio"]
+    ratio4 = obstruction.ap_stats(a1, 4)["ratio"]
     comp = obstruction.completion_probability(a1)
     ident = obstruction.check_constraint_identity(1000, 1000)
     ok = bias <= 0.01 and ratio4 >= 2.0 and 0.2 <= comp <= 0.4 and ident
@@ -243,10 +242,9 @@ CRITERIA = [
 ]
 
 
-def run_all(only: str | None = None, threads: int = 1,
-            printer=print) -> list[CriterionResult]:
+def run_all(only: str | None = None, printer=print) -> list[CriterionResult]:
     """Run the acceptance items (optionally filtered by id or tag)."""
-    ctx = _Context(threads=threads)
+    ctx = _Context()
     results = []
     for cid, title, tags, fn in CRITERIA:
         if only and only.lower() != cid.lower() and only.lower() not in tags:

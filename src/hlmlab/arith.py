@@ -2,6 +2,7 @@
 
 Provides:
 - ArithTable: is_prime / mu / Lambda on [1, N], built by a linear sieve
+- prime_sieve: the primality sieve alone, shared with the singular series
 - W-trick reweighting  Lambda_{b,W}(n) = (phi(W)/W) * Lambda(W*n + b)
 - balanced function of a set, 1_A - |A|/N
 - binary dump/load of tables (magic "HLM1", little-endian)
@@ -21,7 +22,7 @@ itself is single-threaded.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 import struct
 
 import numpy as np
@@ -103,6 +104,16 @@ def default_w_params(b: int = 1) -> WTrickParams:
     return WTrickParams.create(2 * 3 * 5, b)
 
 
+def prime_sieve(N: int) -> np.ndarray:
+    """Bool array of length N+1 (indexed by n), True exactly at the primes."""
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, isqrt(N) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return is_prime
+
+
 def build_table(N: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> ArithTable:
     """Sieve is_prime, mu and Lambda on [1, N].
 
@@ -115,13 +126,7 @@ def build_table(N: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> ArithTable:
     if N > limit_cap:
         raise CapacityError(f"N={N} exceeds cap {limit_cap}")
 
-    is_prime = np.ones(N + 1, dtype=bool)
-    is_prime[0] = False
-    if N >= 1:
-        is_prime[1] = False
-    for p in range(2, int(N**0.5) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
+    is_prime = prime_sieve(N)
 
     # mu: sign-flip over primes p <= sqrt(N) while tracking the product of
     # those primes per n; any n whose product falls short of n has exactly

@@ -12,8 +12,9 @@ apart from the timestamp. --format csv switches tabular payloads
 Config file: key=value lines loaded before flag parsing; flags win.
 HLM_DATA_DIR, when set, caches sieve tables as table_<N>.bin.
 
-Exit codes: 0 success, 1 usage error, 2 validation error (degenerate
-system, bad parameter), 3 acceptance-suite failure.
+Exit codes: 0 success, 1 usage error or unreadable/unwritable file,
+2 validation error (degenerate system, bad parameter), 3 acceptance-suite
+failure.
 """
 
 import argparse
@@ -27,7 +28,6 @@ import sys
 import numpy as np
 
 from . import __version__, acceptance, arith, counting, fourier, gowers, linsys, nilseq, obstruction
-from ._parallel import available_parallelism
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,7 +167,7 @@ def cmd_typesums(args) -> int:
 
 def cmd_singular(args) -> int:
     system = linsys.parse_system(args.system)
-    series = linsys.singular_series(system, args.p_max, threads=args.threads)
+    series = linsys.singular_series(system, args.p_max)
     results = json.loads(series.to_json())
     params = {"system": args.system, "P0": args.p_max, "N": None}
     _emit(
@@ -290,7 +290,7 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    results = acceptance.run_all(only=args.only, threads=args.threads)
+    results = acceptance.run_all(only=args.only)
     if not results:
         print(f"error: no acceptance items match {args.only!r}", file=sys.stderr)
         return 1
@@ -328,7 +328,6 @@ def _load_config(path: str) -> dict:
 GLOBAL_DEFAULTS = {
     "config": None,
     "seed": 0,
-    "threads": None,  # filled with available parallelism at parse time
     "format": "json",
     "out": None,
 }
@@ -339,8 +338,6 @@ def build_parser() -> _Parser:
     sup = argparse.SUPPRESS
     shared.add_argument("--config", default=sup, help="key=value config file; flags override it")
     shared.add_argument("--seed", type=int, default=sup, help="seed for randomized paths")
-    shared.add_argument("--threads", type=int, default=sup,
-                        help="worker pool size (1 = reference mode)")
     shared.add_argument("--format", choices=["json", "csv"], default=sup)
     shared.add_argument("--out", default=sup, help="write the report here instead of stdout")
 
@@ -434,7 +431,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if "--config" in argv:
         idx = argv.index("--config")
-        cfg = _load_config(argv[idx + 1])
+        if idx + 1 == len(argv):
+            print("error: argument --config: expected one argument", file=sys.stderr)
+            return 1
+        try:
+            cfg = _load_config(argv[idx + 1])
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         injected = []
         for key, val in cfg.items():
             flag = "--" + key.replace("_", "-")
@@ -448,10 +452,11 @@ def main(argv=None) -> int:
     for key, default in GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, default)
-    if args.threads is None:
-        args.threads = available_parallelism()
     try:
         return args.fn(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except linsys.DegenerateSystem as exc:
         print(f"validation error: {exc.reason}", file=sys.stderr)
         return 2

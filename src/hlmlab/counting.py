@@ -1,15 +1,16 @@
 """Counting prime solutions of linear systems, with asymptotic predictions.
 
-Three counters:
+Every progression count goes through one kernel, ap_sum, which sums
+prod_j f_j(x + j d) over x and d >= 1 for k sequences on [1, N]: one
+FFT self-convolution for k = 3 with f_1 = f_3, else a whole-array d-loop.
 
   * count_ap_primes: exact number of p_1 < ... < p_k <= N in arithmetic
-    progression (genuine primes, strictly increasing). k = 3 tests the
-    midpoint of prime pairs; k >= 4 walks (p_1, d) pairs with d = p_2 - p_1.
+    progression (genuine primes, strictly increasing), ap_sum of the
+    prime indicator (d restricted to multiples of 6 for k >= 4).
   * weighted_ap_average: E of Lambda(x_1)...Lambda(x_k) over the integer
     solutions of the AP system in [1, N]^k — all solutions, any sign of
     d including d = 0 (that is the normalization of the expectation:
-    divide by the number of integer solutions in the box). k = 3 runs
-    through an FFT autocorrelation; k = 4 loops over (x, d) directly.
+    divide by the number of integer solutions in the box).
   * generic_count: any validated system, exact enumeration over t - s
     free coordinates (t - s <= 2) or seeded Monte Carlo.
 
@@ -28,7 +29,8 @@ import math
 import numpy as np
 
 from .arith import ArithTable
-from .linsys import LinearSystem, ap_system, closed_form_S3, closed_form_S4, rank_int, singular_series
+from .linsys import (LinearSystem, _det_int, ap_system, closed_form_S3, closed_form_S4,
+                     rank_int, singular_series)
 
 
 class FreeRankTooLarge(ValueError):
@@ -68,41 +70,72 @@ class CountReport:
         return json.dumps(self.to_dict())
 
 
-def count_ap_primes(table: ArithTable, N: int, k: int, chunk: int = 512) -> int:
+def ap_sum(fs, d_step: int = 1):
+    """Sum over x and over d >= 1 with d_step | d of prod_j fs[j][x + j d].
+
+    fs holds k >= 3 sequences on [1, N], all of length N; x runs over the
+    progressions that lie inside [1, N]. All-bool inputs give an exact
+    int, any other real inputs a float. For k = 3, d_step = 1 and fs[0]
+    equal to fs[2] the sum is (sum_m f_2(m) (f_1 * f_1)(2m) - diagonal) / 2
+    with one FFT self-convolution; every other case walks d with
+    whole-array products.
+    """
+    fs = [np.asarray(f) for f in fs]
+    k = len(fs)
+    if k < 3:
+        raise ValueError("need k >= 3 sequences")
+    if d_step < 1:
+        raise ValueError(f"need d_step >= 1, got {d_step}")
+    N = fs[0].size
+    if any(f.ndim != 1 or f.size != N for f in fs):
+        raise ValueError("sequences must be 1-D and of one length")
+    exact = all(f.dtype == bool for f in fs)
+    if k == 3 and d_step == 1 and N >= k and (fs[0] is fs[2] or np.array_equal(fs[0], fs[2])):
+        return _ap3_fft(fs[0], fs[1], exact)
+    acc = np.empty(N, dtype=bool if exact else np.float64)
+    total = 0 if exact else 0.0
+    for d in range(d_step, (N - 1) // (k - 1) + 1, d_step):
+        L = N - (k - 1) * d
+        prod = acc[:L]
+        np.multiply(fs[0][:L], fs[1][d : d + L], out=prod, dtype=prod.dtype)
+        for j in range(2, k):
+            np.multiply(prod, fs[j][j * d : j * d + L], out=prod, dtype=prod.dtype)
+        total += np.count_nonzero(prod) if exact else float(prod.sum())
+    return int(total) if exact else total
+
+
+def _ap3_fft(f, g, exact: bool):
+    """ap_sum((f, g, f)) through the self-convolution of f.
+
+    (f * f)(2m) sums f(a) f(b) over a + b = 2m: each 3-AP with d >= 1
+    twice (a < b and a > b) plus the term a = b = m.
+    """
+    N = f.size
+    L = 1 << (2 * N - 2).bit_length()
+    ft = np.fft.rfft(f, L)
+    ft *= ft
+    conv = np.fft.irfft(ft, L)
+    mid = conv[0 : 2 * N - 1 : 2]  # mid[m] = (f * f)(2m), m = 0..N-1
+    if not exact:
+        return (float(np.dot(g, mid)) - float(np.dot(f * f, g))) / 2.0
+    rounded = np.rint(mid)
+    margin = float(np.abs(mid - rounded).max())
+    if margin >= 0.25:
+        raise ArithmeticError(f"FFT rounding margin {margin:.3g} >= 0.25: count not exact")
+    return (int(rounded[g].sum()) - int(np.count_nonzero(f & g))) // 2
+
+
+def count_ap_primes(table: ArithTable, N: int, k: int) -> int:
     """Exact count of strictly increasing k-term prime APs inside [1, N]."""
     if k < 3:
         raise ValueError("need k >= 3")
     if N > table.limit:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
-    primes = table.primes()
-    primes = primes[primes <= N]
-    odd = primes[primes % 2 == 1]  # p1 = 2 forces an even later term
-    if odd.size < k - 1:
-        return 0
-    isp = table.is_prime
-    total = 0
-    if k == 3:
-        # midpoint test over pairs p1 < p3 of odd primes
-        for lo in range(0, odd.size, chunk):
-            p1 = odd[lo : lo + chunk, None]
-            p3 = odd[None, :]
-            mask = p3 > p1
-            mid = (p1 + p3) >> 1
-            total += int((isp[mid] & mask).sum())
-        return total
-    # (p1, d) loop with d = p2 - p1 over prime pairs, then check the rest
-    for lo in range(0, odd.size, chunk):
-        p1 = odd[lo : lo + chunk, None]
-        p2 = odd[None, :]
-        d = p2 - p1
-        ok = d > 0
-        last = p1 + (k - 1) * d
-        ok &= last <= N
-        for j in range(2, k):
-            pj = p1 + j * d
-            ok &= isp[np.where(ok, pj, 1)]
-        total += int(ok.sum())
-    return total
+    isp = table.is_prime[1 : max(N, 0) + 1]
+    # A prime k-AP with k >= 4 has 6 | d (and p1 >= 5): an odd d makes p2 or
+    # p3 even and above 2; an even d prime to 3 makes one of p1, p2, p3 equal
+    # to 3, and as p2, p3 >= 4 that is p1, so p4 = 3 + 3d is a multiple of 3
+    return ap_sum((isp,) * k, d_step=1 if k == 3 else 6)
 
 
 def _ap3_solution_count(N: int) -> int:
@@ -124,23 +157,11 @@ def weighted_ap_average(table: ArithTable, N: int, k: int) -> float:
         raise ValueError("weighted averages implemented for k in {3, 4}")
     if N > table.limit:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
-    lam = table.vonmangoldt[: N + 1]
-    if k == 3:
-        # r(2m) = sum_{a+b=2m} Lambda(a)Lambda(b) by real FFT, then sum_m Lambda(m) r(2m)
-        L = 1 << max(1, math.ceil(math.log2(2 * N + 1)))
-        fa = np.fft.rfft(lam, L)
-        conv = np.fft.irfft(fa * fa, L)  # conv[u] = sum_{a+b=u} Lambda(a)Lambda(b)
-        m = np.arange(1, N + 1)
-        total = float(np.dot(lam[1:], conv[2 * m]))
-        return total / _ap3_solution_count(N)
-    total = float(np.dot(lam[1:] ** 2, lam[1:] ** 2))  # d = 0 term
-    for d in range(1, (N - 1) // 3 + 1):
-        x = lam[1 : N - 3 * d + 1]
-        prod = x * lam[1 + d : N - 2 * d + 1]
-        prod *= lam[1 + 2 * d : N - d + 1]
-        prod *= lam[1 + 3 * d : N + 1]
-        total += 2.0 * float(prod.sum())
-    return total / _ap4_solution_count(N)
+    lam = table.vonmangoldt[1 : N + 1]
+    total = 2.0 * ap_sum((lam,) * k)  # d < 0 mirrors d > 0
+    sq = lam * lam
+    total += float(np.dot(sq, sq if k == 4 else lam))  # the d = 0 term
+    return total / (_ap3_solution_count(N) if k == 3 else _ap4_solution_count(N))
 
 
 def weighted_ap_average_bruteforce(table: ArithTable, N: int) -> float:
@@ -170,26 +191,12 @@ def _column_complement(system: LinearSystem) -> tuple[list[int], list[int]]:
 def _adjugate(m: list[list[int]]) -> tuple[list[list[int]], int]:
     """(adj, det) of a small integer matrix, exactly."""
     n = len(m)
-    det = _det(m)
     adj = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             minor = [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            adj[i][j] = (-1) ** (i + j) * (_det(minor) if minor else 1)
-    return adj, det
-
-
-def _det(m: list[list[int]]) -> int:
-    if len(m) == 1:
-        return m[0][0]
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j, e in enumerate(m[0]):
-        if e:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * e * _det(minor)
-    return total
+            adj[i][j] = (-1) ** (i + j) * (_det_int(minor) if minor else 1)
+    return adj, _det_int(m)
 
 
 def _solution_symmetry(system: LinearSystem) -> int:

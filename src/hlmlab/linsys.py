@@ -41,7 +41,7 @@ import json
 
 import numpy as np
 
-from ._parallel import parallel_map
+from .arith import prime_sieve
 
 ENUMERATION_CAP = 10**7
 
@@ -65,7 +65,6 @@ class LinearSystem:
     s: int
     t: int
     entries: tuple
-    validated: bool = True
 
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -324,17 +323,7 @@ def local_factor(system: LinearSystem, p: int, method: str = "auto",
     return _local_factor_rank(system, p)
 
 
-def _sieve_primes(limit: int) -> np.ndarray:
-    bs = np.ones(limit + 1, dtype=bool)
-    bs[:2] = False
-    for i in range(2, isqrt(limit) + 1):
-        if bs[i]:
-            bs[i * i :: i] = False
-    return np.nonzero(bs)[0]
-
-
-def singular_series(system: LinearSystem, P0: int = 10**4,
-                    threads: int = 1) -> SingularSeries:
+def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:
     """Truncated product of exact alpha_p over p <= P0.
 
     Factors are exact rationals (rank route for large p), computable
@@ -344,10 +333,9 @@ def singular_series(system: LinearSystem, P0: int = 10**4,
     1/p -> 0 intercept.
     """
     patterns = _zero_pattern_ranks(system)
-    primes = _sieve_primes(10 * P0)
+    primes = np.flatnonzero(prime_sieve(10 * P0))
     head = [int(p) for p in primes[primes <= P0]]
-    vals = parallel_map(lambda p: _local_factor_rank(system, p, patterns), head, threads)
-    factors: dict[int, Fraction] = dict(zip(head, vals))
+    factors = {p: _local_factor_rank(system, p, patterns) for p in head}
     product = 1.0
     for p in head:
         product *= float(factors[p])
@@ -388,7 +376,7 @@ def closed_form_S3(P0: int = 10**6) -> float:
     """Truncated 1/2 * prod_{3<=p<=P0} (1 - 1/(p-1)^2)."""
     if P0 < 10**3:
         raise ValueError("need P0 >= 10^3")
-    p = _sieve_primes(P0)[1:].astype(np.float64)  # drop p = 2
+    p = np.flatnonzero(prime_sieve(P0))[1:].astype(np.float64)  # drop p = 2
     return 0.5 * float(np.exp(np.log1p(-1.0 / (p - 1.0) ** 2).sum()))
 
 
@@ -396,7 +384,7 @@ def closed_form_S4(P0: int = 10**6) -> float:
     """Truncated 3/4 * prod_{5<=p<=P0} (1 - (3p-1)/(p-1)^3)."""
     if P0 < 10**3:
         raise ValueError("need P0 >= 10^3")
-    p = _sieve_primes(P0)[2:].astype(np.float64)  # drop p = 2, 3
+    p = np.flatnonzero(prime_sieve(P0))[2:].astype(np.float64)  # drop p = 2, 3
     return 0.75 * float(np.exp(np.log1p(-(3.0 * p - 1.0) / (p - 1.0) ** 3).sum()))
 
 

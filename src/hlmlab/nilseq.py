@@ -208,9 +208,6 @@ class TestFunction:
             return np.exp(2j * np.pi * (self.m[0] * x + self.m[1] * z))
         return self._interp(x, y, z)
 
-    def evaluate_point(self, p: HeisenbergPoint) -> complex:
-        return complex(self.evaluate(p.x, p.y, p.z))
-
     def _interp(self, x, y, z):
         nx, ny, nz = self.grid.shape
         # x, y periodic on [0,1); z linear on (-1/2, 1/2]
@@ -322,15 +319,6 @@ def bilinear_embedding(theta1: float, theta2: float, N: int) -> GeneralizedQuadr
     return GeneralizedQuadratic.create(
         beta=b, gamma_coeffs=[0.0, 0.0], thetas=[1.0 / (10.0 * N), theta2]
     )
-
-
-def eval_gen_quadratic(q: GeneralizedQuadratic, n) -> tuple:
-    """(phi(n), e(phi(n))) for integer n >= 1 (scalar or array)."""
-    phase = q.phase(n)
-    return phase, np.exp(2j * np.pi * np.asarray(phase))
-
-
-reduce = reduce_point  # the fundamental-domain reduction under its op name
 
 
 def correlate(weights, seq) -> complex:

@@ -18,7 +18,8 @@ P(y1 - 3y2 + 3y3 in [-1,1] | y_i in [-1,1]) = 8/27.
 
 Fractional parts are computed in double-double arithmetic (Dekker
 products), so x^2 sqrt(2) mod 1 keeps ~1e-15 accuracy out to x ~ 2e6
-instead of losing 12 bits in plain doubles.
+instead of losing 12 bits in plain doubles. AP counts and the
+completion probability are counting.ap_sum over the membership table.
 """
 
 from dataclasses import dataclass
@@ -28,8 +29,8 @@ import math
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .arith import balanced_function
+from .counting import ap_sum
 from .fourier import sup_exp_sum
 
 
@@ -138,43 +139,13 @@ def linear_bias(obset: ObstructionSet, oversample: int = 4) -> float:
     return sup_exp_sum(balanced_function(obset.membership), oversample)[1]
 
 
-def count_aps(membership: np.ndarray, k: int, threads: int = 1) -> int:
-    """# of (x, d), d >= 1, with x, x+d, ..., x+(k-1)d all in the set.
-
-    Exact whatever the schedule: the d-range splits into chunks whose
-    integer subtotals are summed in order.
-    """
-    m = membership
-    N = m.size
-    d_max = (N - 1) // (k - 1)
-
-    def chunk_total(bounds):
-        lo, hi = bounds
-        sub = 0
-        for d in range(lo, hi):
-            L = N - (k - 1) * d
-            acc = m[:L].copy()
-            for j in range(1, k):
-                acc &= m[j * d : j * d + L]
-            sub += int(acc.sum())
-        return sub
-
-    step = d_max if threads <= 1 else max(1, d_max // (4 * threads) + 1)
-    bounds = [(lo, min(lo + step, d_max + 1)) for lo in range(1, d_max + 1, step)]
-    return sum(parallel_map(chunk_total, bounds, threads))
-
-
 def _ap_cells(N: int, k: int) -> int:
     """#{(x, d) : d >= 1, x + (k-1)d <= N}."""
     D = (N - 1) // (k - 1)
     return D * N - (k - 1) * D * (D + 1) // 2
 
 
-def ap_stats(obset: ObstructionSet, k: int, threads: int = 1) -> dict:
-    """Exact in-set AP count against the random-model alpha^k baseline."""
-    if k < 3:
-        raise ValueError("need k >= 3")
-    observed = count_aps(obset.membership, k, threads)
+def _ap_stats(obset: ObstructionSet, k: int, observed: int) -> dict:
     predicted = obset.density**k * _ap_cells(obset.N, k)
     return {
         "kind": obset.kind,
@@ -186,22 +157,29 @@ def ap_stats(obset: ObstructionSet, k: int, threads: int = 1) -> dict:
     }
 
 
-def completion_probability(obset: ObstructionSet, min_condition: int = 100) -> float:
-    """Empirical P(x + 3d in A | x, x+d, x+2d in A), over d >= 1."""
-    m = obset.membership
-    N = m.size
-    conditioned = 0
-    completed = 0
-    for d in range(1, (N - 1) // 3 + 1):
-        L = N - 3 * d
-        first3 = m[:L] & m[d : d + L] & m[2 * d : 2 * d + L]
-        conditioned += int(first3.sum())
-        completed += int((first3 & m[3 * d : 3 * d + L]).sum())
+def ap_stats(obset: ObstructionSet, k: int) -> dict:
+    """Exact in-set AP count against the random-model alpha^k baseline."""
+    if k < 3:
+        raise ValueError("need k >= 3")
+    return _ap_stats(obset, k, ap_sum((obset.membership,) * k))
+
+
+def _four_ap_counts(m: np.ndarray) -> tuple[int, int]:
+    """(# in-set 4-APs, # in-set 3-APs (x, x+d, x+2d) with x + 3d <= N)."""
+    return ap_sum((m,) * 4), ap_sum((m, m, m, np.ones_like(m)))
+
+
+def _completion(completed: int, conditioned: int, min_condition: int = 100) -> float:
     if conditioned < min_condition:
         raise ValueError(
             f"only {conditioned} conditioning triples (< {min_condition})"
         )
     return completed / conditioned
+
+
+def completion_probability(obset: ObstructionSet, min_condition: int = 100) -> float:
+    """Empirical P(x + 3d in A | x, x+d, x+2d in A), over d >= 1."""
+    return _completion(*_four_ap_counts(obset.membership), min_condition)
 
 
 def check_constraint_identity(x_max: int, d_max: int) -> bool:
@@ -218,7 +196,8 @@ def check_constraint_identity(x_max: int, d_max: int) -> bool:
 def stats_report(obset: ObstructionSet) -> dict:
     """Full JSON-ready report: density, bias, AP counts, completion."""
     s3 = ap_stats(obset, 3)
-    s4 = ap_stats(obset, 4)
+    completed, conditioned = _four_ap_counts(obset.membership)
+    s4 = _ap_stats(obset, 4, completed)
     report = {
         "kind": obset.kind,
         "N": obset.N,
@@ -230,7 +209,7 @@ def stats_report(obset: ObstructionSet) -> dict:
         "ratios": {"ap3": s3["ratio"], "ap4": s4["ratio"]},
     }
     try:
-        report["completion_prob"] = completion_probability(obset)
+        report["completion_prob"] = _completion(completed, conditioned)
     except ValueError:
         report["completion_prob"] = None
     return report

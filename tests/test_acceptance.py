@@ -23,7 +23,7 @@ from hlmlab import acceptance, counting, linsys
 
 @pytest.fixture(scope="module")
 def ctx():
-    return acceptance._Context(threads=2)
+    return acceptance._Context()
 
 
 def _run(ctx, cid):

@@ -159,6 +159,21 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert report["N"] == 20 and report["results"]["observed"] == 5.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "20", "--config"],
+        ["count", "--config", "{tmp}/absent.cfg"],
+        ["count", "--k", "3", "--n", "20", "--out", "{tmp}/absent/report.json"],
+    ],
+    ids=["config-without-value", "config-missing", "out-directory-missing"],
+)
+def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_data_dir_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
     report_first = run_json(capsys, "sieve", "--n", "2000")

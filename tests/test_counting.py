@@ -1,6 +1,8 @@
 import json
 import math
 
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
@@ -20,6 +22,54 @@ def oracle_ap_count(table, N, k):
     return count
 
 
+def oracle_ap_sum(fs, d_step):
+    """Literal loop over (x, d), the independent oracle for counting.ap_sum."""
+    k, N = len(fs), len(fs[0])
+    vals = [f.tolist() for f in fs]
+    total = 0
+    for x in range(N):
+        for d in range(d_step, N, d_step):
+            if x + (k - 1) * d >= N:
+                break
+            term = 1
+            for j in range(k):
+                term *= vals[j][x + j * d]
+            total += term
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    k=st.sampled_from([3, 4, 5]),
+    d_step=st.sampled_from([1, 6]),
+    n=st.integers(0, 60),
+    boolean=st.booleans(),
+    sharing=st.sampled_from(["all", "ends", "none"]),
+)
+def test_ap_sum_matches_literal_loop(data, k, d_step, n, boolean, sharing):
+    elements = st.booleans() if boolean else st.floats(-1.0, 1.0)
+    dtype = bool if boolean else np.float64
+
+    def draw():
+        return data.draw(arrays(dtype, n, elements=elements))
+
+    if sharing == "all":  # one sequence k times
+        fs = [draw()] * k
+    elif sharing == "ends":  # f_1 is f_k, the middle ones differ
+        f = draw()
+        fs = [f] + [draw() for _ in range(k - 2)] + [f]
+    else:
+        fs = [draw() for _ in range(k)]
+    got = counting.ap_sum(fs, d_step)
+    want = oracle_ap_sum(fs, d_step)
+    if boolean:
+        assert type(got) is int and got == want
+    else:
+        assert type(got) is float
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
 def test_count_ap_primes_frozen_examples(table_1e4):
     assert counting.count_ap_primes(table_1e4, 20, 3) == 5
     assert counting.count_ap_primes(table_1e4, 10, 3) == 1
@@ -28,7 +78,7 @@ def test_count_ap_primes_frozen_examples(table_1e4):
 
 
 def test_count_ap_primes_matches_oracle(table_1e4):
-    for N in (100, 500, 1000):
+    for N in (23, 100, 500, 1000, 10**4):
         for k in (3, 4, 5):
             assert counting.count_ap_primes(table_1e4, N, k) == oracle_ap_count(
                 table_1e4, N, k

@@ -143,13 +143,6 @@ def test_singular_series_vanishing():
     assert series.local_factors[3] == 0
 
 
-def test_singular_series_threads_deterministic():
-    a = linsys.singular_series(linsys.AP3, 3000, threads=1)
-    b = linsys.singular_series(linsys.AP3, 3000, threads=4)
-    assert a.truncated_product == b.truncated_product
-    assert a.local_factors == b.local_factors
-
-
 def test_singular_series_json():
     series = linsys.singular_series(linsys.AP3, 200)
     data = json.loads(series.to_json())

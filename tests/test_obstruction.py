@@ -93,13 +93,6 @@ def test_full_set_ratio_is_one():
     assert obstruction.ap_stats(full, 4)["ratio"] == pytest.approx(1.0)
 
 
-def test_count_aps_thread_invariance(a1_1e5):
-    m = a1_1e5.membership[:20000]
-    assert obstruction.count_aps(m, 4, threads=1) == obstruction.count_aps(
-        m, 4, threads=4
-    )
-
-
 def test_completion_probability(a1_1e5):
     cp = obstruction.completion_probability(a1_1e5)
     assert 0.2 <= cp <= 0.4  # against 8/27 ~ 0.296
