@@ -186,17 +186,19 @@ def a8_inequalities(ctx) -> tuple[bool, dict]:
 def a9_heisenberg_orbit(ctx) -> tuple[bool, dict]:
     rng = np.random.default_rng(99)
     checkpoints = {1, 10, 100, 1000, 10**4}
+    draws = rng.uniform(-2.0, 2.0, (100, 3))
+    # all 100 orbits step at once: shift works elementwise on array coordinates
+    g = nilseq.HeisenbergElement(*draws.T)
+    p = nilseq.HeisenbergPoint(*np.zeros((3, 100)))
     worst = 0.0
-    for _ in range(100):
-        g = nilseq.HeisenbergElement(*rng.uniform(-2.0, 2.0, 3))
-        p = nilseq.ORIGIN
-        for n in range(1, 10**4 + 1):
-            p = nilseq.shift(g, p)
-            if n in checkpoints:
-                c = nilseq.closed_form_orbit(g, n)
-                for a, b in ((p.x, c.x), (p.y, c.y), (p.z, c.z)):
+    for n in range(1, 10**4 + 1):
+        p = nilseq.shift(g, p)
+        if n in checkpoints:
+            for i, row in enumerate(draws):
+                c = nilseq.closed_form_orbit(nilseq.HeisenbergElement(*row), n)
+                for a, b in ((p.x[i], c.x), (p.y[i], c.y), (p.z[i], c.z)):
                     d = abs(a - b) % 1.0
-                    worst = max(worst, min(d, 1.0 - d))
+                    worst = max(worst, float(min(d, 1.0 - d)))
     return worst <= 1e-8, {"worst_coordinate_gap": worst}
 
 

@@ -18,6 +18,7 @@ failure.
 """
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -49,16 +50,22 @@ def _envelope(command: str, args, params: dict, results) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _csv_out(args):
+    """The CSV destination: --out opened with newline="", else stdout."""
+    if args.out is None:
+        yield sys.stdout
+    else:
+        with open(args.out, "w", newline="") as fh:
+            yield fh
+
+
 def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
     if args.format == "csv" and csv_rows is not None:
-        out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-        try:
+        with _csv_out(args) as out:
             wr = csv.writer(out)
             wr.writerow(csv_header)
             wr.writerows(csv_rows)
-        finally:
-            if args.out is not None:
-                out.close()
         return
     text = json.dumps(report, sort_keys=True, indent=2, default=_jsonable)
     if args.out is None:
@@ -86,7 +93,14 @@ def _cached_table(N: int) -> arith.ArithTable:
             return arith.load_table(path)
         tab = arith.build_table(N)
         os.makedirs(cache_dir, exist_ok=True)
-        arith.dump_table(tab, path)
+        # a concurrent run sees either no table or a whole one, never a part
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            arith.dump_table(tab, tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         return tab
     return arith.build_table(N)
 
@@ -243,25 +257,34 @@ def cmd_nilseq(args) -> int:
         raise ValueError(f"unknown character {args.character!r}")
     orbit = nilseq.orbit_array(g, nilseq.ORIGIN, args.n)
     vals = F.evaluate(orbit[:, 0], orbit[:, 1], orbit[:, 2])
-    rows = [
-        [i + 1, orbit[i, 0], orbit[i, 1], orbit[i, 2], vals[i].real, vals[i].imag]
-        for i in range(args.n)
-    ]
+    table = np.column_stack([orbit, vals.real, vals.imag])
+    if args.format == "csv":
+        with _csv_out(args) as out:
+            csv.writer(out).writerow(["n", "x", "y", "z", "re_F", "im_F"])
+            out.writelines(_numeric_csv(table))
+        return 0
     results = {
         "g": [g.alpha, g.beta, g.gamma],
         "character": args.character,
         "lipschitz_estimate": F.lipschitz_estimate,
         "mean": {"re": float(vals.real.mean()), "im": float(vals.imag.mean())},
-        "head": rows[: min(10, len(rows))],
+        "head": [[n, *row] for n, row in enumerate(table[:10].tolist(), 1)],
     }
     params = {"N": args.n, "character": args.character}
-    _emit(
-        _envelope("nilseq", args, params, results),
-        args,
-        csv_rows=rows,
-        csv_header=["n", "x", "y", "z", "re_F", "im_F"],
-    )
+    _emit(_envelope("nilseq", args, params, results), args)
     return 0
+
+
+def _numeric_csv(table: np.ndarray):
+    """Rows (n, *table[n-1]) as the text csv.writer makes of them, 16384
+    rows at a time. Float reprs never need quoting, so a row is its
+    fields' reprs joined by commas and ended by CR LF. Chunks bound the
+    memory the text takes."""
+    line = "%d" + ",%r" * table.shape[1] + "\r\n"
+    chunk = 1 << 14
+    for start in range(0, len(table), chunk):
+        rows = table[start : start + chunk].tolist()
+        yield "".join([line % (n, *row) for n, row in enumerate(rows, start + 1)])
 
 
 def cmd_mobius_corr(args) -> int:
@@ -429,13 +452,18 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 == len(argv):
-            print("error: argument --config: expected one argument", file=sys.stderr)
-            return 1
+    idx = next((i for i, a in enumerate(argv)
+                if a == "--config" or a.startswith("--config=")), None)
+    if idx is not None:
+        _, eq, path = argv[idx].partition("=")
+        width = 1 if eq else 2  # "--config=FILE" or "--config FILE"
+        if not eq:
+            if idx + 1 == len(argv):
+                print("error: argument --config: expected one argument", file=sys.stderr)
+                return 1
+            path = argv[idx + 1]
         try:
-            cfg = _load_config(argv[idx + 1])
+            cfg = _load_config(path)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -444,9 +472,9 @@ def main(argv=None) -> int:
             flag = "--" + key.replace("_", "-")
             if not any(a == flag or a.startswith(flag + "=") for a in argv):
                 injected.extend([flag, val])
-        # drop the --config pair, then append config-derived flags after the
-        # subcommand; explicitly passed flags already occupy their spot and win
-        argv = argv[:idx] + argv[idx + 2 :]
+        # drop the --config argument(s), then append config-derived flags after
+        # the subcommand; explicitly passed flags already occupy their spot and win
+        argv = argv[:idx] + argv[idx + width :]
         argv = argv + injected
     args = parser.parse_args(argv)
     for key, default in GLOBAL_DEFAULTS.items():

@@ -17,9 +17,10 @@ points lie in A1, and the completion probability tends to
 P(y1 - 3y2 + 3y3 in [-1,1] | y_i in [-1,1]) = 8/27.
 
 Fractional parts are computed in double-double arithmetic (Dekker
-products), so x^2 sqrt(2) mod 1 keeps ~1e-15 accuracy out to x ~ 2e6
-instead of losing 12 bits in plain doubles. AP counts and the
-completion probability are counting.ap_sum over the membership table.
+products, hlmlab._phase.frac_dd), so x^2 sqrt(2) mod 1 keeps ~1e-15
+accuracy out to x ~ 2e6 instead of losing 12 bits in plain doubles. AP
+counts and the completion probability are counting.ap_sum over the
+membership table.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ import math
 
 import numpy as np
 
+from ._phase import frac_dd, frac_half
 from .arith import balanced_function
 from .counting import ap_sum
 from .fourier import sup_exp_sum
@@ -46,37 +48,6 @@ def _dd_sqrt(n: int) -> tuple[float, float]:
 
 SQRT2_HI, SQRT2_LO = _dd_sqrt(2)
 SQRT3_HI, SQRT3_LO = _dd_sqrt(3)
-
-_SPLIT = 2.0**27 + 1.0
-
-
-def _two_prod(a, b):
-    """p + e = a*b exactly (Dekker split, no fma needed)."""
-    p = a * b
-    aa = a * _SPLIT
-    ahi = aa - (aa - a)
-    alo = a - ahi
-    bb = b * _SPLIT
-    bhi = bb - (bb - b)
-    blo = b - bhi
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, e
-
-
-def frac_half_dd(k, hi: float, lo: float):
-    """{k * (hi + lo)} in (-1/2, 1/2] to ~1e-15 for |k*hi| up to ~1e15.
-
-    k may be an integer array; hi + lo is a double-double constant.
-    """
-    kf = np.asarray(k, dtype=np.float64)
-    p, e = _two_prod(kf, hi)
-    t = (p % 1.0) + (e + kf * lo)
-    return t - np.ceil(t - 0.5)
-
-
-def _frac_half(t):
-    return t - np.ceil(t - 0.5)
-
 
 @dataclass
 class ObstructionSet:
@@ -109,14 +80,13 @@ def build(kind: str, N: int, alpha: float) -> ObstructionSet:
         raise ValueError(f"need N >= 10^3, got {N}")
     x = np.arange(1, N + 1, dtype=np.int64)
     if kind == "A1":
-        phase = frac_half_dd(x * x, SQRT2_HI, SQRT2_LO)
+        phase = frac_dd(x * x, SQRT2_HI, SQRT2_LO, frac_half)
     elif kind == "A2":
-        inner = frac_half_dd(x, SQRT3_HI, SQRT3_LO)
-        # x*sqrt2*inner in double-double: inner is exact to ~1e-16, and
-        # the product is re-split so the mod-1 keeps full precision
-        p1, e1 = _two_prod(x.astype(np.float64) * inner, SQRT2_HI)
-        corr = e1 + x * inner * SQRT2_LO
-        phase = _frac_half((p1 % 1.0) + corr)
+        inner = frac_dd(x, SQRT3_HI, SQRT3_LO, frac_half)
+        # x*inner is not an integer, but the kernel only needs it to be a
+        # double: inner is exact to ~1e-16, and the product with sqrt2 is
+        # re-split so the mod-1 keeps full precision
+        phase = frac_dd(x * inner, SQRT2_HI, SQRT2_LO, frac_half)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     member = np.abs(phase) <= alpha / 2.0

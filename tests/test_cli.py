@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hlmlab import cli, linsys
+from hlmlab import arith, cli, linsys
 from importlib import resources
 
 SCHEMA = json.loads(
@@ -157,6 +157,10 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert report["N"] == 1000
     report = run_json(capsys, "count", "--config", str(cfg), "--n", "20")
     assert report["N"] == 20 and report["results"]["observed"] == 5.0
+    report = run_json(capsys, "count", f"--config={cfg}")
+    assert report["N"] == 1000
+    report = run_json(capsys, "count", f"--config={cfg}", "--n", "20")
+    assert report["N"] == 20 and report["results"]["observed"] == 5.0
 
 
 @pytest.mark.parametrize(
@@ -181,6 +185,25 @@ def test_data_dir_cache(capsys, tmp_path, monkeypatch):
     assert cache.exists()
     report_second = run_json(capsys, "sieve", "--n", "2000")
     assert report_first["results"] == report_second["results"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table_2000.bin"]
+
+
+def test_data_dir_cache_failed_dump_leaves_no_table(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
+
+    def failing_dump(table, path):
+        with open(path, "wb") as fh:
+            fh.write(arith.MAGIC)  # a partial table, then the disk fills up
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(arith, "dump_table", failing_dump)
+    code, out, err = run_cli(capsys, "sieve", "--n", "2000")
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
+    run_json(capsys, "sieve", "--n", "2000")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table_2000.bin"]
 
 
 def test_acceptance_filter_and_exit(capsys, tmp_path):

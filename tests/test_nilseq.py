@@ -1,10 +1,13 @@
 import csv
+import io
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hlmlab import nilseq
+from hlmlab import cli, nilseq
 from hlmlab.nilseq import ORIGIN, HeisenbergElement, HeisenbergPoint
 
 
@@ -261,11 +264,56 @@ def test_second_difference_degenerate_and_outside():
 
 
 def test_orbit_csv_export(tmp_path):
-    g = HeisenbergElement(math.sqrt(2), 0.0, math.sqrt(3))
-    F = nilseq.TestFunction.vertical_character(1)
+    # the CLI file is byte-for-byte what csv.writer makes of the orbit values
+    a, b, c = math.sqrt(2), 0.1, math.sqrt(3)
     path = tmp_path / "orbit.csv"
-    nilseq.orbit_to_csv(F, g, ORIGIN, 50, path)
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["n", "x", "y", "z", "re_F", "im_F"]
-    assert len(rows) == 51
-    assert int(rows[1][0]) == 1
+    assert cli.main(["nilseq", "--alpha-g", repr(a), "--beta-g", repr(b),
+                     "--gamma-g", repr(c), "--n", "50", "--format", "csv",
+                     "--out", str(path)]) == 0
+    orbit = nilseq.orbit_array(HeisenbergElement(a, b, c), ORIGIN, 50)
+    vals = nilseq.TestFunction.vertical_character(1).evaluate(*orbit.T)
+    expect = io.StringIO(newline="")
+    wr = csv.writer(expect)
+    wr.writerow(["n", "x", "y", "z", "re_F", "im_F"])
+    for i in range(50):
+        wr.writerow([i + 1, orbit[i, 0], orbit[i, 1], orbit[i, 2], vals[i].real, vals[i].imag])
+    assert path.read_bytes() == expect.getvalue().encode()
+
+
+@pytest.mark.parametrize("n_max", [10**8, 94_906_267])
+def test_orbit_array_refuses_inexact_length_before_allocating(n_max):
+    # n(n-1) must stay an exact double; 94_906_266 is the largest n_max that passes
+    g = HeisenbergElement(math.sqrt(2), 0.1, math.sqrt(3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\^53"):
+            nilseq.orbit_array(g, ORIGIN, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_battery_on_support_matches_full_length(table_1e6, rng):
+    N = 10**5  # both supports span several evaluation blocks
+    mu = table_1e6.mobius_seq(N).astype(np.float64)
+    sparse = rng.uniform(-1.0, 1.0, N) * (rng.uniform(size=N) < 0.5)
+    for w in (mu, sparse):
+        assert (w == 0).any()
+        got = nilseq.correlation_battery(w, N)
+        for name, (F, g) in nilseq.default_battery().items():
+            full = abs(nilseq.correlate(w, nilseq.eval_nilsequence(F, g, ORIGIN, N)))
+            assert abs(got[name] - full) <= 1e-15, name
+    with pytest.raises(ValueError, match="length"):
+        nilseq.correlation_battery(mu[:100], 200)
+
+
+def test_local_quadratic_phases_match_fraction():
+    N, theta = 10**5, math.sqrt(2)
+    lq = nilseq.make_local_quadratic(N, theta, math.sqrt(5) - 2)
+    th = Fraction(theta)
+    half = Fraction(1, 2)
+    for i, n in enumerate(range(lq.n0, N)):
+        exact = th * n * n
+        exact -= math.ceil(exact - half)
+        assert circle_gap(lq.phase[i], float(exact)) <= 1e-12, n

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hlmlab import obstruction
+from hlmlab._phase import frac_dd, frac_half
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +30,8 @@ def test_dd_frac_against_rational_oracle():
     s2 = sqrt_fraction(2)
     for k in (10**6, 999999937, 4 * 10**12 + 12345):
         exact = float((k * s2 + Fraction(1, 2)) % 1 - Fraction(1, 2))
-        got = float(obstruction.frac_half_dd(np.array([k]), obstruction.SQRT2_HI,
-                                             obstruction.SQRT2_LO)[0])
+        got = float(frac_dd(np.array([k]), obstruction.SQRT2_HI, obstruction.SQRT2_LO,
+                            frac_half)[0])
         assert abs(got - exact) < 1e-13
 
 
