@@ -20,12 +20,16 @@ EXACT_LIMIT = 2.0**53  # every integer below this is exact in a double
 
 def frac01(t):
     """Fractional part in [0, 1) (array-friendly)."""
-    return t - np.floor(t)
+    r = t - np.floor(t)
+    # a tiny negative t rounds t + 1 up to 1.0, which is 0 mod 1
+    return r - (r >= 1.0)
 
 
 def frac_half(t):
     """Signed fractional part {t} in (-1/2, 1/2] (array-friendly)."""
-    return t - np.ceil(t - 0.5)
+    r = t - np.ceil(t - 0.5)
+    # t - 0.5 rounds for 2^52 <= |t| < 2^53, so an odd t there gives 1.0
+    return r - (r > 0.5)
 
 
 def nearest_int(t):

@@ -7,14 +7,16 @@ Every report is a JSON envelope {command, version, seed, timestamp, N,
 params, results} (schema shipped in hlmlab/schemas/report.schema.json);
 identical (command, config, seed) runs re-serialize byte-identically
 apart from the timestamp. --format csv switches tabular payloads
-(spectra, orbits, sweeps) to CSV with a header row.
+(exponential sums, orbits, sweeps) to CSV with a header row. This
+module is the only writer of both formats; a report holding a NaN or an
+infinity is a validation error, raised before any --out file is opened.
 
 Config file: key=value lines loaded before flag parsing; flags win.
 HLM_DATA_DIR, when set, caches sieve tables as table_<N>.bin.
 
 Exit codes: 0 success, 1 usage error or unreadable/unwritable file,
-2 validation error (degenerate system, bad parameter), 3 acceptance-suite
-failure.
+2 validation error (degenerate system, bad parameter, work past a cap,
+a non-finite number in the report), 3 acceptance-suite failure.
 """
 
 import argparse
@@ -29,6 +31,7 @@ import sys
 import numpy as np
 
 from . import __version__, acceptance, arith, counting, fourier, gowers, linsys, nilseq, obstruction
+from ._phase import frac01
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,14 +63,20 @@ def _csv_out(args):
             yield fh
 
 
+def _check_finite(values) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value (NaN or inf) in the CSV report")
+
+
 def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
     if args.format == "csv" and csv_rows is not None:
+        _check_finite([v for row in csv_rows for v in row if isinstance(v, float)])
         with _csv_out(args) as out:
             wr = csv.writer(out)
             wr.writerow(csv_header)
             wr.writerows(csv_rows)
         return
-    text = json.dumps(report, sort_keys=True, indent=2, default=_jsonable)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_jsonable)
     if args.out is None:
         print(text)
     else:
@@ -166,7 +175,7 @@ def cmd_typesums(args) -> int:
     tab = _cached_table(args.n)
     if args.phase is not None:
         n = np.arange(1, args.n + 1)
-        f = np.exp(2j * np.pi * np.mod(args.phase * n, 1.0))
+        f = np.exp(2j * np.pi * frac01(args.phase * n))
         kind = f"e({args.phase}*n)"
     else:
         f = _weights(tab, args.weights, args.n).astype(np.complex128)
@@ -182,12 +191,18 @@ def cmd_typesums(args) -> int:
 def cmd_singular(args) -> int:
     system = linsys.parse_system(args.system)
     series = linsys.singular_series(system, args.p_max)
-    results = json.loads(series.to_json())
+    factors = sorted(series.local_factors.items())
+    results = {
+        "factors": [[p, f.numerator, f.denominator] for p, f in factors],
+        "product": series.truncated_product,
+        "P0": series.truncation_prime,
+        "tail": series.tail_estimate,
+    }
     params = {"system": args.system, "P0": args.p_max, "N": None}
     _emit(
         _envelope("singular", args, params, results),
         args,
-        csv_rows=[[p, f.numerator, f.denominator] for p, f in sorted(series.local_factors.items())],
+        csv_rows=results["factors"],
         csv_header=["p", "num", "den"],
     )
     return 0
@@ -240,9 +255,9 @@ def cmd_gowers(args) -> int:
         value = gowers.uk_norm_bruteforce(f, args.k)
     else:
         value = gowers.uk_norm(f, args.k, args.method)
-    report = gowers.GowersReport(k=args.k, modulus=f.size, norm_value=value, method=args.method)
+    results = {"k": args.k, "M": f.size, "value": value, "method": args.method}
     params = {"N": None, "M": f.size, "k": args.k, "method": args.method}
-    _emit(_envelope("gowers", args, params, json.loads(report.to_json())), args)
+    _emit(_envelope("gowers", args, params, results), args)
     return 0
 
 
@@ -259,6 +274,7 @@ def cmd_nilseq(args) -> int:
     vals = F.evaluate(orbit[:, 0], orbit[:, 1], orbit[:, 2])
     table = np.column_stack([orbit, vals.real, vals.imag])
     if args.format == "csv":
+        _check_finite(table)
         with _csv_out(args) as out:
             csv.writer(out).writerow(["n", "x", "y", "z", "re_F", "im_F"])
             out.writelines(_numeric_csv(table))
@@ -328,8 +344,7 @@ def cmd_acceptance(args) -> int:
         ],
     )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2, default=_jsonable)
+        _emit(report, args)
     failed = [r.cid for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} acceptance items passed"
           + (f"; FAILED: {', '.join(failed)}" if failed else ""))

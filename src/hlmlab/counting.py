@@ -12,7 +12,8 @@ FFT self-convolution for k = 3 with f_1 = f_3, else a whole-array d-loop.
     d including d = 0 (that is the normalization of the expectation:
     divide by the number of integer solutions in the box).
   * generic_count: any validated system, exact enumeration over t - s
-    free coordinates (t - s <= 2) or seeded Monte Carlo.
+    free coordinates (t - s <= 2) or seeded Monte Carlo, at most
+    WORK_CAP cells or samples.
 
 Predictions: the truncated singular-series constants give
 
@@ -23,14 +24,16 @@ and the weighted average tends to the full product of local factors.
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-import json
 import math
 
 import numpy as np
 
-from .arith import ArithTable
+from .arith import ArithTable, CapacityError
 from .linsys import (LinearSystem, _det_int, ap_system, closed_form_S3, closed_form_S4,
                      rank_int, singular_series)
+
+WORK_CAP = 10**8  # exact cells or Monte Carlo samples in one generic_count
+_CHUNK = 1 << 20  # cells or samples per vectorized pass
 
 
 class FreeRankTooLarge(ValueError):
@@ -65,9 +68,6 @@ class CountReport:
         }
         d.update(self.extra)
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def ap_sum(fs, d_step: int = 1):
@@ -138,17 +138,14 @@ def count_ap_primes(table: ArithTable, N: int, k: int) -> int:
     return ap_sum((isp,) * k, d_step=1 if k == 3 else 6)
 
 
-def _ap3_solution_count(N: int) -> int:
-    """#{(x1,x2,x3) in [1,N]^3 : x1 - 2x2 + x3 = 0} = #same-parity pairs."""
-    odd = (N + 1) // 2
-    even = N // 2
-    return odd * odd + even * even
+def ap_cells(N: int, k: int) -> int:
+    """#{(x, d) : d >= 1, x + (k-1)d <= N}: the k-APs with d >= 1 in [1, N].
 
-
-def _ap4_solution_count(N: int) -> int:
-    """#{(x,d) : x, x+3d in [1,N], d in Z} = N + 2*sum_{d>=1} (N-3d)+."""
-    D = (N - 1) // 3
-    return N + 2 * (D * N - 3 * D * (D + 1) // 2)
+    The k-AP system has N + 2 * ap_cells(N, k) integer solutions in
+    [1, N]^k: d = 0, and d < 0 mirroring d > 0.
+    """
+    D = (N - 1) // (k - 1)
+    return D * N - (k - 1) * D * (D + 1) // 2
 
 
 def weighted_ap_average(table: ArithTable, N: int, k: int) -> float:
@@ -161,7 +158,7 @@ def weighted_ap_average(table: ArithTable, N: int, k: int) -> float:
     total = 2.0 * ap_sum((lam,) * k)  # d < 0 mirrors d > 0
     sq = lam * lam
     total += float(np.dot(sq, sq if k == 4 else lam))  # the d = 0 term
-    return total / (_ap3_solution_count(N) if k == 3 else _ap4_solution_count(N))
+    return total / (N + 2 * ap_cells(N, k))
 
 
 def weighted_ap_average_bruteforce(table: ArithTable, N: int) -> float:
@@ -174,7 +171,7 @@ def weighted_ap_average_bruteforce(table: ArithTable, N: int) -> float:
         x3 = np.arange(1 if x1 % 2 else 2, N + 1, 2)  # same parity as x1
         mid = (x1 + x3) // 2
         total += lam[x1] * float(np.dot(lam[x3], lam[mid]))
-    return total / _ap3_solution_count(N)
+    return total / (N + 2 * ap_cells(N, 3))
 
 
 def _column_complement(system: LinearSystem) -> tuple[list[int], list[int]]:
@@ -217,7 +214,7 @@ def _solution_symmetry(system: LinearSystem) -> int:
 
 def generic_count(table: ArithTable, system: LinearSystem, N: int,
                   mode: str = "exact", samples: int = 10**4,
-                  seed: int = 0, chunk: int = 1 << 20) -> CountReport:
+                  seed: int = 0) -> CountReport:
     """Count box solutions of A x = 0 with every coordinate prime.
 
     observed counts ordered solutions (the full solution set in
@@ -227,7 +224,8 @@ def generic_count(table: ArithTable, system: LinearSystem, N: int,
     the strictly-increasing count. predicted is the Hardy-Littlewood
     value: the singular series times sum over integer solutions of
     prod 1/log x_i (solutions with any x_i = 1 are skipped; 1 is not
-    prime). Monte Carlo samples the free coordinates uniformly.
+    prime). Monte Carlo samples the free coordinates uniformly. More
+    than WORK_CAP cells (N^(t-s)) or samples raise CapacityError.
     """
     if mode not in ("exact", "montecarlo"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -238,6 +236,10 @@ def generic_count(table: ArithTable, system: LinearSystem, N: int,
         raise FreeRankTooLarge(f"t - s = {free_rank} > 2")
     if mode == "montecarlo" and samples < 10**3:
         raise ValueError("need samples >= 10^3")
+    work = N**free_rank if mode == "exact" else samples
+    if work > WORK_CAP:
+        unit = "cells" if mode == "exact" else "samples"
+        raise CapacityError(f"{work} {unit} exceed the work cap {WORK_CAP}")
 
     bound_cols, free_cols = _column_complement(system)
     rows = system.rows()
@@ -253,15 +255,9 @@ def generic_count(table: ArithTable, system: LinearSystem, N: int,
     observed = 0
     distinct = 0
     hl_sum = 0.0
-    if mode == "exact":
-        total_cells = N**free_rank
-        starts = range(0, total_cells, chunk)
-    else:
-        starts = range(0, samples, chunk)
-
-    for start in starts:
+    for start in range(0, work, _CHUNK):
+        stop = min(start + _CHUNK, work)
         if mode == "exact":
-            stop = min(start + chunk, N**free_rank)
             flat = np.arange(start, stop, dtype=np.int64)
             xf = np.empty((free_rank, flat.size), dtype=np.int64)
             rem = flat
@@ -269,7 +265,6 @@ def generic_count(table: ArithTable, system: LinearSystem, N: int,
                 xf[i] = rem % N + 1
                 rem = rem // N
         else:
-            stop = min(start + chunk, samples)
             xf = rng.integers(1, N + 1, size=(free_rank, stop - start), dtype=np.int64)
         xb_scaled = solve @ xf
         integral = (xb_scaled % det == 0).all(axis=0)

@@ -22,35 +22,11 @@ f(w*d), computed by power iteration.
 
 from dataclasses import dataclass
 from fractions import Fraction
-import csv
-import json
 import math
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Normalized DFT coefficients of a function on Z/M."""
-
-    modulus: int
-    coeffs: np.ndarray
-
-    def to_csv(self, path) -> None:
-        """Rows (xi, re, im), one per frequency."""
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["xi", "re", "im"])
-            for xi, c in enumerate(self.coeffs):
-                wr.writerow([xi, repr(float(c.real)), repr(float(c.imag))])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "modulus": self.modulus,
-                "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-            }
-        )
+from ._phase import frac01
 
 
 @dataclass(frozen=True)
@@ -95,17 +71,18 @@ class PowerIterationError(RuntimeError):
         self.last_value = last_value
 
 
-def dft(values) -> Spectrum:
-    """Forward transform with the averaged (1/M) normalization."""
+def dft(values) -> np.ndarray:
+    """Forward transform with the averaged (1/M) normalization: the
+    coefficients fhat(xi), xi = 0..M-1."""
     v = np.asarray(values, dtype=np.complex128)
     if v.size == 0:
         raise ValueError("modulus must be >= 1")
-    return Spectrum(modulus=v.size, coeffs=np.fft.fft(v) / v.size)
+    return np.fft.fft(v) / v.size
 
 
-def idft(spec: Spectrum) -> np.ndarray:
+def idft(coeffs) -> np.ndarray:
     """Inverse of dft: recovers the original values."""
-    return np.fft.ifft(spec.coeffs * spec.modulus)
+    return np.fft.ifft(coeffs * coeffs.size)
 
 
 def exp_sum(weights, theta: float) -> complex:
@@ -119,7 +96,7 @@ def exp_sum(weights, theta: float) -> complex:
     if N < 1:
         raise ValueError("need N >= 1")
     n = np.arange(1, N + 1, dtype=np.float64)
-    phase = np.mod(theta * n, 1.0)
+    phase = frac01(theta * n)
     return complex(np.mean(w * np.exp(2j * np.pi * phase)))
 
 

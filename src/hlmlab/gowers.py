@@ -28,32 +28,12 @@ the generalized von Neumann bound hold with constant exactly 1:
     |ap_average(f_1..f_k)| <= min_i ||f_i||_{U^(k-1)}    (|f_i| <= 1).
 """
 
-from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
 
 UK_CAPS = {3: 4096, 4: 256}
 BRUTEFORCE_CAP = 10**8
-
-
-@dataclass(frozen=True)
-class GowersReport:
-    k: int
-    modulus: int
-    norm_value: float
-    method: str  # fft | recursive | bruteforce
-    delta: float | None = None
-    stderr: float | None = None
-
-    def to_json(self) -> str:
-        d = {"k": self.k, "M": self.modulus, "value": self.norm_value, "method": self.method}
-        if self.delta is not None:
-            d["delta"] = self.delta
-        if self.stderr is not None:
-            d["stderr"] = self.stderr
-        return json.dumps(d)
 
 
 def _as_complex(f) -> np.ndarray:

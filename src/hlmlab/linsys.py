@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
-import json
 
 import numpy as np
 
@@ -82,19 +81,6 @@ class SingularSeries:
     truncation_prime: int
     tail_estimate: float
     system: LinearSystem | None = field(default=None, repr=False)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "factors": [
-                    [p, f.numerator, f.denominator]
-                    for p, f in sorted(self.local_factors.items())
-                ],
-                "product": self.truncated_product,
-                "P0": self.truncation_prime,
-                "tail": self.tail_estimate,
-            }
-        )
 
 
 def parse_system(text: str) -> LinearSystem:
@@ -173,14 +159,14 @@ def _rref_mod_p(rows: list[list[int]], p: int):
     return rank, piv_cols, m
 
 
-def _local_factor_enumerate(system: LinearSystem, p: int, cap: int) -> Fraction:
+def _local_factor_enumerate(system: LinearSystem, p: int) -> Fraction:
     rank, piv_cols, R = _rref_mod_p(system.rows(), p)
     t = system.t
     free_cols = [c for c in range(t) if c not in piv_cols]
     m = len(free_cols)
-    if p**m > cap:
+    if p**m > ENUMERATION_CAP:
         raise EnumerationTooLarge(
-            f"null space has p^{m} = {p**m} points, cap is {cap}"
+            f"null space has p^{m} = {p**m} points, cap is {ENUMERATION_CAP}"
         )
     # x_piv = -R[:, free] @ x_free mod p, enumerated in column blocks
     coef = np.array([[R[i][c] for c in free_cols] for i in range(rank)], dtype=np.int64)
@@ -301,26 +287,20 @@ def _local_factor_rank(system: LinearSystem, p: int,
     return Fraction(count * p**r0, (p - 1) ** t)
 
 
-def local_factor(system: LinearSystem, p: int, method: str = "auto",
-                 cap: int = ENUMERATION_CAP) -> Fraction:
+def local_factor(system: LinearSystem, p: int, method: str = "rank") -> Fraction:
     """Exact local density alpha_p >= 0 of the system at a prime p.
 
-    method "enumerate" walks the F_p null space (EnumerationTooLarge
-    beyond the cap); "rank" uses the inclusion-exclusion identity;
-    "auto" enumerates when the null space fits and falls back to rank.
+    method "rank" uses the inclusion-exclusion identity; "enumerate"
+    walks the F_p null space (EnumerationTooLarge beyond ENUMERATION_CAP
+    points) and is the independent oracle for it.
     """
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"p={p} is not prime")
-    if method == "enumerate":
-        return _local_factor_enumerate(system, p, cap)
     if method == "rank":
         return _local_factor_rank(system, p)
-    if p ** (system.t - system.s) <= cap:
-        try:
-            return _local_factor_enumerate(system, p, cap)
-        except EnumerationTooLarge:
-            pass
-    return _local_factor_rank(system, p)
+    if method == "enumerate":
+        return _local_factor_enumerate(system, p)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:

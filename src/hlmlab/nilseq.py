@@ -110,6 +110,8 @@ def closed_form_orbit(g: HeisenbergElement, n: int) -> HeisenbergPoint:
 
 
 def _check_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     if n_max * (n_max - 1) >= EXACT_LIMIT:
         raise ValueError(f"n_max = {n_max} too large: n(n-1) must stay below 2^53")
 
@@ -146,10 +148,11 @@ def orbit_array(g: HeisenbergElement, x0: HeisenbergPoint, n_max: int) -> np.nda
     double product: x_red carries the ~n * 2^-53 rounding of n*alpha and
     c ~ n*gamma multiplies it, so y is off by up to ~n^2 * 2^-53 (up to
     2e-4 near n = 10^6 and 1.6e-2 near 10^7 for g = (sqrt2, 0.1, sqrt3)).
-    n_max(n_max - 1) >= 2^53 raises ValueError before any allocation.
+    n_max < 1 or n_max(n_max - 1) >= 2^53 raises ValueError before any
+    allocation.
     """
     _check_n_max(n_max)
-    out = np.empty((max(n_max, 0), 3))
+    out = np.empty((n_max, 3))
     out[:, 0], out[:, 1], out[:, 2] = _orbit(g, x0, np.arange(1.0, n_max + 1))
     return out
 
@@ -393,7 +396,7 @@ def second_difference(lq: LocalQuadratic, x: int, h1: int, h2: int) -> float:
 _BLOCK = 1 << 14
 
 
-def correlation_battery(weights, n_max: int, batch: dict | None = None) -> dict:
+def correlation_battery(weights, n_max: int) -> dict:
     """|E_{n<=n_max} w(n) seq(n)| for a frozen battery of nilsequences.
 
     Two torus rotations and three Heisenberg orbits with a vertical
@@ -403,8 +406,6 @@ def correlation_battery(weights, n_max: int, batch: dict | None = None) -> dict:
     the sum over that support is divided by n_max, so the mean is the
     full-length one.
     """
-    if batch is None:
-        batch = default_battery()
     w = np.asarray(weights, dtype=np.float64)[:n_max]
     if w.size != n_max:
         raise ValueError(f"length mismatch: {w.size} weights for n_max = {n_max}")
@@ -413,7 +414,7 @@ def correlation_battery(weights, n_max: int, batch: dict | None = None) -> dict:
     n = support + 1.0
     w = w[support]
     out = {}
-    for name, (F, g) in batch.items():
+    for name, (F, g) in default_battery().items():
         total = 0j
         for i in range(0, n.size, _BLOCK):
             seq = F.evaluate(*_orbit(g, ORIGIN, n[i : i + _BLOCK]))

@@ -25,14 +25,13 @@ membership table.
 
 from dataclasses import dataclass
 from fractions import Fraction
-import json
 import math
 
 import numpy as np
 
 from ._phase import frac_dd, frac_half
 from .arith import balanced_function
-from .counting import ap_sum
+from .counting import ap_cells, ap_sum
 from .fourier import sup_exp_sum
 
 
@@ -109,14 +108,8 @@ def linear_bias(obset: ObstructionSet, oversample: int = 4) -> float:
     return sup_exp_sum(balanced_function(obset.membership), oversample)[1]
 
 
-def _ap_cells(N: int, k: int) -> int:
-    """#{(x, d) : d >= 1, x + (k-1)d <= N}."""
-    D = (N - 1) // (k - 1)
-    return D * N - (k - 1) * D * (D + 1) // 2
-
-
 def _ap_stats(obset: ObstructionSet, k: int, observed: int) -> dict:
-    predicted = obset.density**k * _ap_cells(obset.N, k)
+    predicted = obset.density**k * ap_cells(obset.N, k)
     return {
         "kind": obset.kind,
         "k": k,
@@ -183,7 +176,3 @@ def stats_report(obset: ObstructionSet) -> dict:
     except ValueError:
         report["completion_prob"] = None
     return report
-
-
-def stats_json(obset: ObstructionSet) -> str:
-    return json.dumps(stats_report(obset))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import jsonschema
 import numpy as np
@@ -20,20 +21,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=refuse_constant)
     jsonschema.validate(report, SCHEMA)
     return report
 
 
 def test_singular_subcommand(capsys):
     report = run_json(capsys, "singular", "--system", "1,-2,1", "--p-max", "2000")
-    assert report["results"]["product"] == pytest.approx(
-        4 * linsys.closed_form_S3(2000), rel=1e-9
-    )
-    assert report["results"]["factors"][0] == [2, 2, 1]
+    results = report["results"]
+    assert results["P0"] == 2000
+    assert results["product"] == pytest.approx(4 * linsys.closed_form_S3(2000), rel=1e-9)
+    assert 0 <= results["tail"] < 1e-3
+    assert results["factors"][0] == [2, 2, 1]
+    assert all(len(row) == 3 for row in results["factors"])
 
 
 def test_count_subcommand_small(capsys):
@@ -83,6 +90,8 @@ def test_typesums_subcommand(capsys):
 
 def test_gowers_and_nilseq_subcommands(capsys, tmp_path):
     report = run_json(capsys, "gowers", "--m", "32", "--k", "3", "--seed", "9")
+    assert set(report["results"]) == {"k", "M", "value", "method"}
+    assert report["results"]["M"] == 32 and report["results"]["method"] == "fft"
     assert 0 < report["results"]["value"] < 1
     path = tmp_path / "f.csv"
     np.savetxt(path, np.ones(16))
@@ -176,6 +185,31 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nilseq", "--alpha-g", "1.3", "--n", "0"],
+        ["nilseq", "--alpha-g", "1.3", "--n", "-3"],
+        ["nilseq", "--alpha-g", "nan", "--n", "5"],
+        ["nilseq", "--alpha-g", "nan", "--n", "5", "--format", "csv"],
+        ["expsum", "--n", "100", "--theta", "nan", "--format", "csv"],
+        ["count", "--system", "1,1,-2", "--n", "100000"],
+        ["count", "--system", "1,1,-2", "--n", "1000", "--mode", "montecarlo",
+         "--samples", "1000000000"],
+    ],
+    ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
+         "expsum-nan-csv", "count-cells-over-cap", "count-samples-over-cap"],
+)
+def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
+    out_file = tmp_path / "report.out"
+    for out_args in ([], ["--out", str(out_file)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print a second line
+            code, out, err = run_cli(capsys, *argv, *out_args)
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
 def test_data_dir_cache(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import json
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -174,6 +173,9 @@ def test_generic_count_validation(table_1e4):
         counting.generic_count(table_1e4, linsys.AP3, 100, mode="montecarlo", samples=10)
     with pytest.raises(ValueError):
         counting.generic_count(table_1e4, linsys.AP3, 100, mode="bogus")
+    with pytest.raises(arith.CapacityError, match="samples"):
+        counting.generic_count(table_1e4, linsys.AP3, 100, mode="montecarlo",
+                               samples=counting.WORK_CAP + 1)
 
 
 def test_prediction_values():
@@ -193,10 +195,10 @@ def test_prediction_values():
 
 def test_count_report_serialization(table_1e4):
     report = counting.ap_count_report(table_1e4, 1000, 3)
-    data = json.loads(report.to_json())
+    data = report.to_dict()
     for key in ("descriptor", "N", "observed", "predicted", "ratio", "method", "seed"):
         assert key in data
     assert data["method"] == "direct"
     assert data["observed"] == 1500.0
     weighted = counting.weighted_ap_report(table_1e4, 2000, 3)
-    assert json.loads(weighted.to_json())["method"] == "fft"
+    assert weighted.to_dict()["method"] == "fft"

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -173,8 +172,3 @@ def test_quadratic_phase_cos_has_structured_u3():
     f = np.cos(2 * np.pi * q.phase(np.arange(1, M + 1)))
     assert gowers.uk_norm(f, 3) >= 0.5
 
-
-def test_report_json():
-    rep = gowers.GowersReport(k=3, modulus=64, norm_value=0.25, method="fft", stderr=0.01)
-    data = json.loads(rep.to_json())
-    assert data == {"k": 3, "M": 64, "value": 0.25, "method": "fft", "stderr": 0.01}

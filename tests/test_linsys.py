@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -84,8 +83,10 @@ def test_local_factor_validation():
         linsys.local_factor(linsys.AP3, 4)
     with pytest.raises(linsys.EnumerationTooLarge):
         linsys.local_factor(linsys.AP3, 4001, "enumerate")
-    # auto mode falls back to the rank route over the cap
+    # the default rank route has no cap
     assert linsys.local_factor(linsys.AP3, 4001) == 1 - Fraction(1, 4000**2)
+    with pytest.raises(ValueError, match="unknown method"):
+        linsys.local_factor(linsys.AP3, 5, "auto")
 
 
 def test_row_scaling_invariance_for_coprime_primes():
@@ -141,16 +142,6 @@ def test_singular_series_vanishing():
     series = linsys.singular_series(linsys.new_system([[1, 9, -27]]), 10**3)
     assert series.truncated_product == 0.0
     assert series.local_factors[3] == 0
-
-
-def test_singular_series_json():
-    series = linsys.singular_series(linsys.AP3, 200)
-    data = json.loads(series.to_json())
-    assert data["P0"] == 200
-    assert data["product"] == pytest.approx(series.truncated_product)
-    first = data["factors"][0]
-    assert first == [2, 2, 1]
-    assert all(len(row) == 3 for row in data["factors"])
 
 
 def test_rank_int_exactness():

@@ -32,6 +32,9 @@ def test_reduce_examples():
     assert (p.x, p.y, p.z) == (0.2, 0.3, 0.1)
     p = nilseq.reduce_point(0.5, 0.0, 1.0)
     assert (p.x, p.y, p.z) == (0.5, 0.5, 0.0)
+    # -1e-17 + 1 rounds to 1.0, which must reduce to 0.0
+    p = nilseq.reduce_point(-1e-17, 0.3, 0.0)
+    assert (p.x, p.y, p.z) == (0.0, 0.3, 0.0)
 
 
 def test_reduce_idempotent(rng):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hlmlab._phase import frac01, frac_dd, frac_half
 
@@ -35,6 +35,18 @@ def test_frac_dd_matches_fraction(data, hi, lo_ulps, half):
         want = exact % 1
         assert 0.0 <= got <= 1.0
     assert circle_gap(got, float(want)) <= 1e-15
+
+
+@settings(max_examples=1000, deadline=None)
+@given(t=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-15, 0.0)))
+@example(t=-1e-17)
+@example(t=2.0**52 + 1)
+@example(t=-(2.0**52 + 1))
+def test_fractional_parts_stay_in_their_ranges(t):
+    for got in (frac01(t), frac01(np.array([t]))[0]):
+        assert isinstance(got, np.float64) and 0.0 <= got < 1.0
+    for got in (frac_half(t), frac_half(np.array([t]))[0]):
+        assert isinstance(got, np.float64) and -0.5 < got <= 0.5
 
 
 @pytest.mark.parametrize("k", [2.0**53, -(2.0**53), 2.0**60])
