@@ -27,14 +27,14 @@ def frac01(t):
 
 def frac_half(t):
     """Signed fractional part {t} in (-1/2, 1/2] (array-friendly)."""
-    r = t - np.ceil(t - 0.5)
-    # t - 0.5 rounds for 2^52 <= |t| < 2^53, so an odd t there gives 1.0
-    return r - (r > 0.5)
+    return t - nearest_int(t)
 
 
 def nearest_int(t):
     """[t] = t - {t}: nearest integer, half-integers rounding down."""
-    return np.ceil(t - 0.5)
+    n = np.ceil(t - 0.5)
+    # t - 0.5 rounds for 2^52 <= |t| < 2^53, so an odd t there gives t - 1
+    return n + (t - n > 0.5)
 
 
 def two_prod(a, b):

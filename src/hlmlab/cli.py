@@ -68,6 +68,13 @@ def _check_finite(values) -> None:
         raise ValueError("non-finite value (NaN or inf) in the CSV report")
 
 
+def _finite_phases(flag: str, thetas) -> None:
+    """Refuse a non-finite phase before any numpy work reduces it mod 1."""
+    for theta in thetas:
+        if not math.isfinite(theta):
+            raise ValueError(f"{flag} must be finite, got {theta!r}")
+
+
 def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
     if args.format == "csv" and csv_rows is not None:
         _check_finite([v for row in csv_rows for v in row if isinstance(v, float)])
@@ -137,6 +144,7 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_expsum(args) -> int:
+    _finite_phases("--theta", args.theta)
     tab = _cached_table(args.n)
     w = _weights(tab, args.weights, args.n)
     rows = []
@@ -158,6 +166,7 @@ def cmd_expsum(args) -> int:
 def cmd_arcs(args) -> int:
     if args.thetas:
         thetas = [float(t) for t in args.thetas.split(",")]
+        _finite_phases("--thetas", thetas)
     else:
         thetas = ((np.arange(args.grid) + 0.5) / args.grid).tolist()
     sweep = fourier.arc_sweep(thetas, args.n, args.exponent)
@@ -172,6 +181,7 @@ def cmd_arcs(args) -> int:
 
 
 def cmd_typesums(args) -> int:
+    _finite_phases("--phase", [] if args.phase is None else [args.phase])
     tab = _cached_table(args.n)
     if args.phase is not None:
         n = np.arange(1, args.n + 1)

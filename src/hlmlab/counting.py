@@ -161,19 +161,6 @@ def weighted_ap_average(table: ArithTable, N: int, k: int) -> float:
     return total / (N + 2 * ap_cells(N, k))
 
 
-def weighted_ap_average_bruteforce(table: ArithTable, N: int) -> float:
-    """O(N^2) oracle for the k = 3 weighted average."""
-    lam = table.vonmangoldt[: N + 1]
-    total = 0.0
-    for x1 in range(1, N + 1):
-        if lam[x1] == 0.0:
-            continue
-        x3 = np.arange(1 if x1 % 2 else 2, N + 1, 2)  # same parity as x1
-        mid = (x1 + x3) // 2
-        total += lam[x1] * float(np.dot(lam[x3], lam[mid]))
-    return total / (N + 2 * ap_cells(N, 3))
-
-
 def _column_complement(system: LinearSystem) -> tuple[list[int], list[int]]:
     """Split columns into an invertible s-set and the free complement."""
     rows = system.rows()

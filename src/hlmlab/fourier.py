@@ -80,11 +80,6 @@ def dft(values) -> np.ndarray:
     return np.fft.fft(v) / v.size
 
 
-def idft(coeffs) -> np.ndarray:
-    """Inverse of dft: recovers the original values."""
-    return np.fft.ifft(coeffs * coeffs.size)
-
-
 def exp_sum(weights, theta: float) -> complex:
     """E_{n<=N} w(n) e(theta*n) by direct summation.
 

@@ -5,20 +5,19 @@ parallelepipeds:
 
     ||f||_{U^k}^{2^k} = E_{x, h_1..h_k} prod_{w in {0,1}^k} C^{|w|} f(x + w.h),
 
-with C conjugation (present on odd |w| in complex mode; the real mode
-drops it). Equivalent recursion used by the fast paths:
+with C conjugation (a no-op on real input, which stays float64). The
+fast routes recurse through multiplicative derivatives, all taken by
+one batched kernel (_derivatives):
 
     ||f||_{U^k}^{2^k} = E_h ||D_h f||_{U^(k-1)}^{2^(k-1)},
-    D_h f(x) = f(x) conj(f(x + h)),
+    D_h f(x) = f(x) conj(f(x + h)).
 
-and on Z/M the base case is exact in frequency space:
-
-    ||f||_{U^2}^4 = sum_xi |fhat(xi)|^4.
-
-Three independent routes (method enum): "fft" recurses to the U^2
-spectral identity, "recursive" recurses all the way to the U^1 mean,
-"bruteforce" is the literal parallelepiped average. They agree to
-1e-10 at small M; the test suite pins this.
+"recursive" takes k-1 derivatives down to the U^1 base |E_x g|^2 and
+uses no spectrum; "fft" takes k-2 and ends in the exact U^2 base
+||g||_{U^2}^4 = sum_xi |ghat(xi)|^4 (half spectrum for real rows).
+"bruteforce" is the independent oracle: the literal parallelepiped
+average in its own code, with no derivative. They agree to 1e-10 at
+small M; the test suite pins this.
 
 ap_average is the multilinear solution-count form for the k-term AP
 system on Z/M, E_{x,d} prod_i f_i(x + (i-1)d); it requires
@@ -31,122 +30,121 @@ the generalized von Neumann bound hold with constant exactly 1:
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 UK_CAPS = {3: 4096, 4: 256}
 BRUTEFORCE_CAP = 10**8
+_BLOCK = 2**20  # elements in one derivative block
 
 
-def _as_complex(f) -> np.ndarray:
-    v = np.asarray(f, dtype=np.complex128)
+def _as_vector(f) -> np.ndarray:
+    """f as float64 when real, complex128 otherwise."""
+    v = np.asarray(f)
+    v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need a 1-d sequence on Z/M with M >= 2")
     return v
 
 
+def _derivatives(V: np.ndarray, hs: np.ndarray):
+    """Yield D_h V[i] for each row i and shift h in hs, i-major, in blocks of ~_BLOCK."""
+    R, M = V.shape
+    h_step = max(1, min(hs.size, _BLOCK // M))
+    r_step = max(1, _BLOCK // (h_step * M))
+    for r in range(0, R, r_step):
+        rows = V[r : r + r_step]
+        # window h of a doubled row is x -> V[i, (x + h) mod M]
+        shifted = sliding_window_view(np.concatenate([rows, rows], axis=1), M, axis=1)
+        for j in range(0, hs.size, h_step):
+            g = shifted[:, hs[j : j + h_step]]
+            if np.iscomplexobj(g):
+                np.conj(g, out=g)
+            np.multiply(rows[:, None, :], g, out=g)
+            yield g.reshape(-1, M)
+
+
+def _u1_power(V: np.ndarray) -> np.ndarray:
+    """|E_x V[i]|^2 per row."""
+    return np.abs(V.mean(axis=1)) ** 2
+
+
+def _u2_power(V: np.ndarray) -> np.ndarray:
+    """sum_xi |Vhat[i](xi)|^4 per row, under the averaged transform."""
+    M = V.shape[1]
+    real = not np.iscomplexobj(V)
+    a = np.abs((np.fft.rfft if real else np.fft.fft)(V, axis=1)) / M
+    a *= a
+    a *= a
+    if real:  # |fhat(-xi)| = |fhat(xi)|: twice each bin but 0 and Nyquist
+        a[:, 1 : (M + 1) // 2] *= 2.0
+    return a.sum(axis=1)
+
+
+def _power_sum(V: np.ndarray, depth: int, base) -> float:
+    """Sum of base over the depth-fold derivatives of every row of V."""
+    if depth == 0:
+        return float(base(V).sum())
+    blocks = _derivatives(V, np.arange(V.shape[1]))
+    return sum(_power_sum(g, depth - 1, base) for g in blocks)
+
+
 def u2_norm(f) -> float:
     """(sum_xi |fhat(xi)|^4)^(1/4) under the averaged transform."""
-    v = _as_complex(f)
-    spec = np.abs(np.fft.fft(v) / v.size)
-    return float(np.sum(spec**4)) ** 0.25
-
-
-def _u2_pow4(v: np.ndarray) -> float:
-    spec = np.abs(np.fft.fft(v) / v.size)
-    return float(np.sum(spec**4))
-
-
-def _uk_pow_fft(v: np.ndarray, k: int, h_block: int = 256) -> float:
-    """||v||_{U^k}^{2^k} by recursion with the spectral U^2 base."""
-    M = v.size
-    if k == 2:
-        return _u2_pow4(v)
-    total = 0.0
-    for lo in range(0, M, h_block):
-        hs = np.arange(lo, min(lo + h_block, M))
-        # rows: D_h v for each h in the block
-        rolled = v[(np.arange(M)[None, :] + hs[:, None]) % M]
-        diff = v[None, :] * np.conj(rolled)
-        if k == 3:
-            spec = np.abs(np.fft.fft(diff, axis=1) / M)
-            total += float(np.sum(spec**4))
-        else:
-            for row in diff:
-                total += _uk_pow_fft(row, k - 1)
-    return total / M
-
-
-def _uk_pow_recursive(v: np.ndarray, k: int) -> float:
-    """||v||_{U^k}^{2^k} by recursion down to the U^1 mean."""
-    M = v.size
-    if k == 1:
-        return abs(np.mean(v)) ** 2
-    total = 0.0
-    for h in range(M):
-        total += _uk_pow_recursive(v * np.conj(np.roll(v, -h)), k - 1)
-    return total / M
+    return float(_u2_power(_as_vector(f)[None, :])[0]) ** 0.25
 
 
 def uk_norm(f, k: int, method: str = "fft") -> float:
     """U^k norm on Z/M for 2 <= k <= 4 (M capped at 4096/256 for k=3/4)."""
-    v = _as_complex(f)
+    v = _as_vector(f)
     if not 2 <= k <= 4:
         raise ValueError("supported range is 2 <= k <= 4")
     cap = UK_CAPS.get(k)
     if cap is not None and v.size > cap:
         raise ValueError(f"M={v.size} beyond the k={k} cap {cap}")
-    if method == "fft":
-        power = _uk_pow_fft(v, k)
-    elif method == "recursive":
-        power = _uk_pow_recursive(v, k)
-    else:
+    if method not in ("fft", "recursive"):
         raise ValueError(f"unknown method {method!r}")
+    depth, base = (k - 2, _u2_power) if method == "fft" else (k - 1, _u1_power)
+    power = _power_sum(v[None, :], depth, base) / v.size**depth
     return max(power, 0.0) ** (1.0 / 2**k)
 
 
 def uk_norm_bruteforce(f, k: int) -> float:
     """Literal parallelepiped average over (x, h_1..h_k) in (Z/M)^(k+1)."""
-    v = _as_complex(f)
+    v = _as_vector(f)
     M = v.size
     if M ** (k + 1) > BRUTEFORCE_CAP:
         raise ValueError(f"M^(k+1) = {M**(k+1)} beyond cap {BRUTEFORCE_CAP}")
+    tiled = np.tile(v, k + 1)  # x + w.h < (k+1) M: no reduction mod M
     base = np.arange(M)
-    # axes: (h_1, ..., h_(k-1); x, h_k handled inside the chunk product)
-    # full broadcast when small, else chunked over h_1
+    x = base.reshape((1,) * k + (M,))
+
     def tensor_sum(h1_values: np.ndarray) -> float:
-        shape_axes = [h1_values] + [base] * (k - 1) + [base]  # h1, h2..hk, x
+        # axes (h_1, ..., h_k, x); full broadcast when small, else one h_1
+        hs = [h1_values] + [base] * (k - 1)
+        axes = [h.reshape((1,) * i + (h.size,) + (1,) * (k - i)) for i, h in enumerate(hs)]
         acc = None
-        for bits in range(2**k):
-            idx = shape_axes[-1].reshape((1,) * k + (M,)).copy()
-            for i in range(k):
-                if bits >> i & 1:
-                    hi = shape_axes[i]
-                    idx = idx + hi.reshape((1,) * i + (hi.size,) + (1,) * (k - i))
-            term = v[np.mod(idx, M)]
-            if bin(bits).count("1") % 2 == 1:
-                term = np.conj(term)
-            acc = term if acc is None else acc * term
+        for bits in range(2**k - 1, -1, -1):  # all ones first: the full shape
+            term = tiled[x + sum(axes[i] for i in range(k) if bits >> i & 1)]
+            if np.iscomplexobj(term) and bin(bits).count("1") % 2 == 1:
+                np.conj(term, out=term)
+            acc = term if acc is None else np.multiply(acc, term, out=acc)
         return float(np.sum(acc).real)
 
-    if M ** (k + 1) <= 2**22:
-        total = tensor_sum(base)
-    else:
-        total = sum(tensor_sum(np.array([h1])) for h1 in range(M))
+    h1_blocks = [base] if M ** (k + 1) <= 2**22 else [np.array([h1]) for h1 in range(M)]
+    total = sum(tensor_sum(h1) for h1 in h1_blocks)
     return max(total / M ** (k + 1), 0.0) ** (1.0 / 2**k)
 
 
 def u3_norm_sampled(f, samples: int = 512, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo U^3 estimate for large M: sample h, FFT each D_h f.
+    """Monte Carlo U^3 estimate for large M: sample h, U^2 of each D_h f.
 
     Returns (estimate, standard error of the norm estimate). Intended
     for M beyond the exact k=3 cap; seeded and reproducible.
     """
-    v = _as_complex(f)
-    M = v.size
+    v = _as_vector(f)
     rng = np.random.default_rng(seed)
-    hs = rng.integers(0, M, size=samples)
-    vals = np.empty(samples)
-    for i, h in enumerate(hs):
-        vals[i] = _u2_pow4(v * np.conj(np.roll(v, -int(h))))
+    hs = rng.integers(0, v.size, size=samples)
+    vals = np.concatenate([_u2_power(g) for g in _derivatives(v[None, :], hs)])
     mean = float(vals.mean())
     se_mean = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     norm = max(mean, 0.0) ** 0.125
@@ -156,7 +154,7 @@ def u3_norm_sampled(f, samples: int = 512, seed: int = 0) -> tuple[float, float]
 
 def ap_average(fs, M: int | None = None) -> complex:
     """E_{x,d in Z/M} prod_i f_i(x + (i-1)d) for k = len(fs) functions."""
-    vs = [_as_complex(f) for f in fs]
+    vs = [_as_vector(f) for f in fs]
     k = len(vs)
     if k < 2:
         raise ValueError("need at least two functions")
@@ -178,7 +176,7 @@ def ap_average_spectral(f1, f2, f3) -> complex:
 
     The exact Fourier identity for E over x1 - 2x2 + x3 = 0 on Z/M.
     """
-    v1, v2, v3 = (_as_complex(f) for f in (f1, f2, f3))
+    v1, v2, v3 = (_as_vector(f) for f in (f1, f2, f3))
     M = v1.size
     if M % 2 == 0:
         raise ValueError("need odd M")
@@ -196,7 +194,7 @@ def inverse_u2_witness(f) -> tuple[int, float, float]:
     |fhat(xi_star)| >= u2^2 whenever max|f| <= 1: on Z/M,
     sum |fhat|^4 <= sup|fhat|^2 * E|f|^2 <= sup|fhat|^2.
     """
-    v = _as_complex(f)
+    v = _as_vector(f)
     if np.max(np.abs(v)) > 1.0 + 1e-12:
         raise ValueError("witness guarantee needs max|f| <= 1")
     spec = np.abs(np.fft.fft(v) / v.size)

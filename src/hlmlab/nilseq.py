@@ -313,15 +313,6 @@ def quadratic_embedding(theta: float, N: int) -> GeneralizedQuadratic:
     )
 
 
-def bilinear_embedding(theta1: float, theta2: float, N: int) -> GeneralizedQuadratic:
-    """theta1*n*{theta2*n} as 10*theta1*N {n/(10N)}{theta2 n} for n <= N."""
-    b = np.zeros((2, 2))
-    b[0, 1] = 10.0 * theta1 * N
-    return GeneralizedQuadratic.create(
-        beta=b, gamma_coeffs=[0.0, 0.0], thetas=[1.0 / (10.0 * N), theta2]
-    )
-
-
 def correlate(weights, seq) -> complex:
     """E_{n<=N} w(n) * seq(n); lengths must match."""
     w = np.asarray(weights, dtype=np.float64)

@@ -178,3 +178,12 @@ def test_a10_obstruction_contrast(ctx):
 
 def test_a11_mobius_nilsequence_decay(ctx):
     assert _run(ctx, "A11").passed
+
+
+def test_a10_fails_without_completion_probability(ctx, monkeypatch):
+    # stats_report reports None when too few triples condition the completion
+    report = {"bias": 0.0, "ratios": {"ap4": 3.0}, "completion_prob": None}
+    monkeypatch.setattr(acceptance.obstruction, "build", lambda *args: None)
+    monkeypatch.setattr(acceptance.obstruction, "stats_report", lambda obset: report)
+    res = _run(ctx, "A10")
+    assert not res.passed and res.measured["completion_prob"] is None

@@ -195,12 +195,16 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["nilseq", "--alpha-g", "nan", "--n", "5"],
         ["nilseq", "--alpha-g", "nan", "--n", "5", "--format", "csv"],
         ["expsum", "--n", "100", "--theta", "nan", "--format", "csv"],
+        ["expsum", "--n", "100", "--theta", "inf"],
+        ["typesums", "--n", "100", "--d", "5", "--phase", "inf"],
+        ["arcs", "--n", "100", "--thetas", "0.25,-inf"],
         ["count", "--system", "1,1,-2", "--n", "100000"],
         ["count", "--system", "1,1,-2", "--n", "1000", "--mode", "montecarlo",
          "--samples", "1000000000"],
     ],
     ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
-         "expsum-nan-csv", "count-cells-over-cap", "count-samples-over-cap"],
+         "expsum-nan-csv", "expsum-theta-inf", "typesums-phase-inf", "arcs-thetas-inf",
+         "count-cells-over-cap", "count-samples-over-cap"],
 )
 def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
     out_file = tmp_path / "report.out"

@@ -21,6 +21,19 @@ def oracle_ap_count(table, N, k):
     return count
 
 
+def oracle_weighted_ap3(table, N):
+    """O(N^2) oracle for the k = 3 weighted average: pairs (x1, x3) of one parity."""
+    lam = table.vonmangoldt[: N + 1]
+    total = 0.0
+    for x1 in range(1, N + 1):
+        if lam[x1] == 0.0:
+            continue
+        x3 = np.arange(1 if x1 % 2 else 2, N + 1, 2)  # same parity as x1
+        mid = (x1 + x3) // 2
+        total += lam[x1] * float(np.dot(lam[x3], lam[mid]))
+    return total / (N + 2 * counting.ap_cells(N, 3))
+
+
 def oracle_ap_sum(fs, d_step):
     """Literal loop over (x, d), the independent oracle for counting.ap_sum."""
     k, N = len(fs), len(fs[0])
@@ -104,7 +117,7 @@ def test_count_validation(table_1e4):
 def test_weighted_fft_equals_bruteforce(table_1e4):
     for N in (50, 500, 2000):
         fast = counting.weighted_ap_average(table_1e4, N, 3)
-        slow = counting.weighted_ap_average_bruteforce(table_1e4, N)
+        slow = oracle_weighted_ap3(table_1e4, N)
         assert fast == pytest.approx(slow, rel=1e-9)
 
 

@@ -6,6 +6,35 @@ import pytest
 from hlmlab import gowers, nilseq
 
 
+def per_h_power(v, k, spectral):
+    """||v||_{U^k}^{2^k} by the literal per-h recursion, one np.roll per shift.
+
+    D_h v = v conj(roll(v, -h)) down to the U^2 spectral base (spectral)
+    or to the U^1 base |mean|^2; complex arithmetic throughout.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    M = v.size
+    if spectral and k == 2:
+        return float(np.sum(np.abs(np.fft.fft(v) / M) ** 4))
+    if k == 1:
+        return abs(np.mean(v)) ** 2
+    return sum(per_h_power(v * np.conj(np.roll(v, -h)), k - 1, spectral) for h in range(M)) / M
+
+
+def per_h_u3_sampled(f, samples, seed):
+    """The sampler as one np.roll and one complex FFT per sampled shift."""
+    v = np.asarray(f, dtype=np.complex128)
+    hs = np.random.default_rng(seed).integers(0, v.size, size=samples)
+    vals = np.array([per_h_power(v * np.conj(np.roll(v, -int(h))), 2, True) for h in hs])
+    norm = vals.mean() ** 0.125
+    return norm, vals.std(ddof=1) / math.sqrt(samples) / (8.0 * norm**7)
+
+
+def sample_input(rng, M, complex_input):
+    f = rng.uniform(-1.0, 1.0, M)
+    return f + 1j * rng.uniform(-1.0, 1.0, M) if complex_input else f
+
+
 def test_u2_constant_and_cos():
     assert gowers.u2_norm(np.ones(16)) == pytest.approx(1.0)
     M = 64
@@ -172,3 +201,73 @@ def test_quadratic_phase_cos_has_structured_u3():
     f = np.cos(2 * np.pi * q.phase(np.arange(1, M + 1)))
     assert gowers.uk_norm(f, 3) >= 0.5
 
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_routes_match_per_h_oracle(k, complex_input):
+    rng = np.random.default_rng(100 * k + complex_input)
+    for M in range(2, 34):  # odd and even M; even M has a Nyquist bin
+        f = sample_input(rng, M, complex_input)
+        want = per_h_power(f, k, spectral=True)
+        # each route against the recursion with its own base; the U^1 base
+        # costs M^(k-1) Python calls, so the largest cases use the spectral one
+        checks = [(gowers.uk_norm(f, k, "fft"), want)]
+        u1_want = per_h_power(f, k, spectral=False) if M ** (k - 1) <= 2000 else want
+        checks.append((gowers.uk_norm(f, k, "recursive"), u1_want))
+        if M ** (k + 1) <= 10**6:
+            checks.append((gowers.uk_norm_bruteforce(f, k), want))
+        for got, expected in checks:
+            assert got ** 2**k == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_derivative_kernel_is_the_definition(complex_input, monkeypatch):
+    rng = np.random.default_rng(11)
+    V = np.array([sample_input(rng, 9, complex_input) for _ in range(5)])
+    hs = rng.integers(0, 9, size=7)
+    want = [v * np.conj(np.roll(v, -int(h))) for v in V for h in hs]  # row-major in (i, h)
+    for block in (1, 40, 2**20):
+        monkeypatch.setattr(gowers, "_BLOCK", block)
+        blocks = list(gowers._derivatives(V, hs))
+        assert all(b.size <= max(block, 9) for b in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), want)
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_one_row_chunks_match_one_block(complex_input, monkeypatch):
+    rng = np.random.default_rng(12)
+    cases = [(sample_input(rng, M, complex_input), k) for M, k in ((13, 3), (16, 3), (9, 4), (12, 4))]
+    f_big = sample_input(rng, 300, complex_input)
+
+    def run():
+        norms = [gowers.uk_norm(f, k, m) for f, k in cases for m in ("fft", "recursive")]
+        return norms + list(gowers.u3_norm_sampled(f_big, samples=64, seed=1))
+
+    monkeypatch.setattr(gowers, "_BLOCK", 2**40)  # everything in one block
+    whole = run()
+    monkeypatch.setattr(gowers, "_BLOCK", 1)  # one row of M per block
+    assert run() == pytest.approx(whole, rel=1e-13)
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_u3_sampled_matches_per_h_sampler(complex_input):
+    f = sample_input(np.random.default_rng(13), 512, complex_input)
+    for samples, seed in ((256, 3), (40, 0)):
+        got = gowers.u3_norm_sampled(f, samples=samples, seed=seed)
+        assert got == pytest.approx(per_h_u3_sampled(f, samples, seed), rel=1e-12)
+
+
+def test_routes_stay_independent(monkeypatch):
+    f = np.random.default_rng(14).uniform(-1.0, 1.0, 10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("route crossed into another route's machinery")
+
+    with monkeypatch.context() as m:
+        for name in ("fft", "rfft", "ifft", "irfft"):
+            m.setattr(np.fft, name, refuse)
+        gowers.uk_norm(f, 4, "recursive")  # no spectrum
+    with monkeypatch.context() as m:
+        m.setattr(gowers, "_derivatives", refuse)
+        gowers.uk_norm_bruteforce(f, 4)  # no derivative kernel

@@ -35,6 +35,9 @@ def test_reduce_examples():
     # -1e-17 + 1 rounds to 1.0, which must reduce to 0.0
     p = nilseq.reduce_point(-1e-17, 0.3, 0.0)
     assert (p.x, p.y, p.z) == (0.0, 0.3, 0.0)
+    # t - 0.5 rounds for an odd t in [2^52, 2^53); [t] must still be t
+    p = nilseq.reduce_point(0.0, 0.0, 2.0**52 + 1)
+    assert p.z == 0.0  # z - [z], inside (-1/2, 1/2]
 
 
 def test_reduce_idempotent(rng):
@@ -164,6 +167,15 @@ def test_lipschitz_estimates_finite():
         assert 0 < F.lipschitz_estimate < 100
 
 
+def bilinear_embedding(theta1, theta2, N):
+    """theta1*n*{theta2*n} as 10*theta1*N {n/(10N)}{theta2 n} for n <= N."""
+    b = np.zeros((2, 2))
+    b[0, 1] = 10.0 * theta1 * N
+    return nilseq.GeneralizedQuadratic.create(
+        beta=b, gamma_coeffs=[0.0, 0.0], thetas=[1.0 / (10.0 * N), theta2]
+    )
+
+
 def test_gen_quadratic_zero_and_embeddings():
     q = nilseq.GeneralizedQuadratic.create([[0.0]], [0.0], [0.3])
     assert q.phase(17) == 0.0
@@ -172,7 +184,7 @@ def test_gen_quadratic_zero_and_embeddings():
     q = nilseq.quadratic_embedding(theta, N)
     n = np.arange(1, N + 1)
     assert np.abs(q.phase(n) - theta * n**2).max() <= 1e-9 * (1 + theta * N**2)
-    q2 = nilseq.bilinear_embedding(0.7, math.sqrt(3), N)
+    q2 = bilinear_embedding(0.7, math.sqrt(3), N)
     direct = 0.7 * n * nilseq.frac_half(math.sqrt(3) * n)
     assert np.abs(q2.phase(n) - direct).max() <= 1e-9 * (1 + 0.7 * N)
     vals = q2.value(n)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hlmlab._phase import frac01, frac_dd, frac_half
+from hlmlab._phase import frac01, frac_dd, frac_half, nearest_int
 
 
 def circle_gap(a, b):
@@ -47,6 +47,9 @@ def test_fractional_parts_stay_in_their_ranges(t):
         assert isinstance(got, np.float64) and 0.0 <= got < 1.0
     for got in (frac_half(t), frac_half(np.array([t]))[0]):
         assert isinstance(got, np.float64) and -0.5 < got <= 0.5
+    for n in (nearest_int(t), nearest_int(np.array([t]))[0]):
+        assert isinstance(n, np.float64) and n == math.floor(n)
+        assert -0.5 < Fraction(t) - Fraction(n) <= 0.5  # exact, no rounding
 
 
 @pytest.mark.parametrize("k", [2.0**53, -(2.0**53), 2.0**60])
