@@ -99,11 +99,6 @@ class WTrickParams:
         return cls(W=W, b=b, scale=scale)
 
 
-def default_w_params(b: int = 1) -> WTrickParams:
-    """Product of the primes up to 5 (W = 30); w(N) is a free knob here."""
-    return WTrickParams.create(2 * 3 * 5, b)
-
-
 def prime_sieve(N: int) -> np.ndarray:
     """Bool array of length N+1 (indexed by n), True exactly at the primes."""
     is_prime = np.ones(N + 1, dtype=bool)

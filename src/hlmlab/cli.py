@@ -182,13 +182,12 @@ def cmd_arcs(args) -> int:
 
 def cmd_typesums(args) -> int:
     _finite_phases("--phase", [] if args.phase is None else [args.phase])
-    tab = _cached_table(args.n)
     if args.phase is not None:
         n = np.arange(1, args.n + 1)
         f = np.exp(2j * np.pi * frac01(args.phase * n))
         kind = f"e({args.phase}*n)"
     else:
-        f = _weights(tab, args.weights, args.n).astype(np.complex128)
+        f = _weights(_cached_table(args.n), args.weights, args.n).astype(np.complex128)
         kind = args.weights
     results = {"f": kind, "type1": fourier.type1_max(f, args.d)}
     if args.w:
@@ -330,9 +329,10 @@ def cmd_obstruction(args) -> int:
     obset = obstruction.build(args.kind, args.n, args.alpha)
     report = obstruction.stats_report(obset)
     if args.members_csv:
-        obset.to_csv(args.members_csv)
+        with open(args.members_csv, "w", newline="") as fh:
+            fh.write("n\n" + "".join(f"{n}\n" for n in obset.members().tolist()))
     if args.bitset:
-        obset.to_bitset(args.bitset)
+        np.packbits(obset.membership).tofile(args.bitset)
     params = {"N": args.n, "kind": args.kind, "alpha": args.alpha}
     _emit(_envelope("obstruction", args, params, report), args)
     return 0

@@ -1,8 +1,13 @@
 """Counting prime solutions of linear systems, with asymptotic predictions.
 
-Every progression count goes through one kernel, ap_sum, which sums
-prod_j f_j(x + j d) over x and d >= 1 for k sequences on [1, N]: one
-FFT self-convolution for k = 3 with f_1 = f_3, else a whole-array d-loop.
+Two kernels carry every count. equation_sum sums prod_i f_i(x_i) over
+x in [1, N]^t on one equation sum_i a_i x_i = 0, as one FFT product of
+the dilated sequences (the circle-method identity on a long enough
+cyclic group). ap_sum sums prod_j f_j(x + j d) over x and d >= 1 for k
+sequences on [1, N]: equation_sum on (1, -2, 1) for k = 3 with
+f_1 = f_3, else a walk over d, from the support of f_1 when a real f_1
+has fewer nonzeros than there are d-steps and with whole-array products
+otherwise.
 
   * count_ap_primes: exact number of p_1 < ... < p_k <= N in arithmetic
     progression (genuine primes, strictly increasing), ap_sum of the
@@ -11,9 +16,12 @@ FFT self-convolution for k = 3 with f_1 = f_3, else a whole-array d-loop.
     solutions of the AP system in [1, N]^k — all solutions, any sign of
     d including d = 0 (that is the normalization of the expectation:
     divide by the number of integer solutions in the box).
-  * generic_count: any validated system, exact enumeration over t - s
-    free coordinates (t - s <= 2) or seeded Monte Carlo, at most
-    WORK_CAP cells or samples.
+  * generic_count: any validated system, at most WORK_CAP cells or
+    samples. Exact counts of one equation go through equation_sum when
+    its FFT length is below the N^(t-s) cells; other exact counts
+    enumerate the t - s <= 2 free coordinates; Monte Carlo samples them.
+  * log_weight_sum: the finite-N weight sum of the increasing k-APs,
+    sum of prod_j 1/log(x + j d) over x >= 2, d >= 1.
 
 Predictions: the truncated singular-series constants give
 
@@ -70,15 +78,97 @@ class CountReport:
         return d
 
 
+def equation_sum(coeffs, fs):
+    """Sum over x in [1, N]^t with sum_i a_i x_i = 0 of prod_i fs[i][x_i].
+
+    fs holds t sequences on [1, N], all of length N; a zero coefficient
+    leaves its coordinate free. The sum is one FFT product: every other
+    sequence is dilated by its a_i (reversed where a_i < 0), and the
+    inverse transform of the product of their spectra is read against
+    the sequence of the largest |a_i|, at that stride. A repeated
+    (sequence, coefficient) pair shares one spectrum, raised to its
+    multiplicity in place. All-bool inputs give an exact int
+    (ArithmeticError when a read value is 0.25 or more from an integer),
+    any other real inputs a float.
+    """
+    fs = [np.asarray(f) for f in fs]
+    coeffs = [int(a) for a in coeffs]
+    if len(coeffs) != len(fs):
+        raise ValueError("need one coefficient per sequence")
+    N = fs[0].size if fs else 0
+    if any(f.ndim != 1 or f.size != N for f in fs):
+        raise ValueError("sequences must be 1-D and of one length")
+    exact = all(f.dtype == bool for f in fs)
+    free = 1 if exact else 1.0
+    terms = []
+    for a, f in zip(coeffs, fs):
+        if a == 0:
+            free *= int(np.count_nonzero(f)) if exact else float(f.sum())
+        else:
+            terms.append((a, f))
+    if not terms:
+        return free
+    if len(terms) == 1 or N == 0:
+        return free * 0  # a x = 0 has no solution x in [1, N]
+    r = max(range(len(terms)), key=lambda i: abs(terms[i][0]))
+    sign = -1 if terms[r][0] > 0 else 1  # so that the read coefficient is negative
+    stride, f_r = abs(terms[r][0]), terms[r][1]
+    groups = {}  # (sequence, coefficient) -> [sequence, coefficient, multiplicity]
+    for i, (a, f) in enumerate(terms):
+        if i != r:
+            groups.setdefault((id(f), sign * a), [f, sign * a, 0])[2] += 1
+    L = _fft_length(coeffs, N)
+    spec = None
+    for f, a, m in groups.values():
+        if abs(a) == 1:
+            seq = f if a > 0 else f[::-1]
+        else:  # f(x) at a (x - 1), or at |a| (N - x) for a < 0
+            seq = np.zeros(abs(a) * (N - 1) + 1)
+            seq[:: abs(a)] = f if a > 0 else f[::-1]
+        s = np.fft.rfft(seq, L)
+        if m > 1:
+            s **= m
+        if spec is None:
+            spec = s
+        else:
+            spec *= s
+    conv = np.fft.irfft(spec, L)
+    # the other coordinates sum to index sum_i a_i (x_i - 1) + (N - 1) sum_{a_i < 0} |a_i|,
+    # which the equation makes base + stride (x_r - 1)
+    top = sum(abs(a) * m for _, a, m in groups.values()) * (N - 1)
+    base = (N - 1) * sum(-a * m for _, a, m in groups.values() if a < 0) - sign * sum(coeffs)
+    lo, hi = max(0, -(base // stride)), min(N - 1, (top - base) // stride)
+    if lo > hi:
+        return free * 0
+    read = conv[base + stride * lo : base + stride * hi + 1 : stride]
+    f_r = f_r[lo : hi + 1]
+    if not exact:
+        return free * float(np.dot(f_r, read))
+    rounded = np.rint(read)
+    margin = float(np.abs(read - rounded).max())
+    if margin >= 0.25:
+        raise ArithmeticError(f"FFT rounding margin {margin:.3g} >= 0.25: count not exact")
+    return free * int(rounded[f_r].sum())
+
+
+def _fft_length(coeffs, N: int) -> int:
+    """equation_sum's FFT length: the power of two above the linear
+    convolution of every dilated sequence but the one read."""
+    sizes = sorted(abs(int(a)) for a in coeffs if a != 0)
+    return 1 << (sum(sizes[:-1]) * max(N - 1, 0)).bit_length()
+
+
 def ap_sum(fs, d_step: int = 1):
     """Sum over x and over d >= 1 with d_step | d of prod_j fs[j][x + j d].
 
     fs holds k >= 3 sequences on [1, N], all of length N; x runs over the
     progressions that lie inside [1, N]. All-bool inputs give an exact
     int, any other real inputs a float. For k = 3, d_step = 1 and fs[0]
-    equal to fs[2] the sum is (sum_m f_2(m) (f_1 * f_1)(2m) - diagonal) / 2
-    with one FFT self-convolution; every other case walks d with
-    whole-array products.
+    equal to fs[2] the sum is (equation_sum((1, -2, 1), fs) - diagonal) / 2,
+    as d < 0 mirrors d > 0. Otherwise a non-bool input whose fs[0] has
+    fewer nonzeros on its anchor range than there are d-steps is summed
+    from that support, one strided product per anchor; every other case
+    walks d with whole-array products.
     """
     fs = [np.asarray(f) for f in fs]
     k = len(fs)
@@ -90,11 +180,25 @@ def ap_sum(fs, d_step: int = 1):
     if any(f.ndim != 1 or f.size != N for f in fs):
         raise ValueError("sequences must be 1-D and of one length")
     exact = all(f.dtype == bool for f in fs)
-    if k == 3 and d_step == 1 and N >= k and (fs[0] is fs[2] or np.array_equal(fs[0], fs[2])):
-        return _ap3_fft(fs[0], fs[1], exact)
+    if k == 3 and d_step == 1 and (fs[0] is fs[2] or np.array_equal(fs[0], fs[2])):
+        f, g = fs[0], fs[1]
+        if exact:
+            return (equation_sum((1, -2, 1), (f, g, f)) - int(np.count_nonzero(f & g))) // 2
+        return (equation_sum((1, -2, 1), (f, g, f)) - float(np.dot(f * f, g))) / 2.0
+    steps = range(d_step, (N - 1) // (k - 1) + 1, d_step)
+    if not exact:
+        anchors = np.flatnonzero(fs[0][: max(N - (k - 1) * d_step, 0)])
+        if anchors.size < len(steps):
+            return _support_walk(fs, d_step, anchors)
+    return _dense_walk(fs, steps, exact)
+
+
+def _dense_walk(fs, steps, exact: bool):
+    """ap_sum over each d in steps, with whole-array products."""
+    k, N = len(fs), fs[0].size
     acc = np.empty(N, dtype=bool if exact else np.float64)
     total = 0 if exact else 0.0
-    for d in range(d_step, (N - 1) // (k - 1) + 1, d_step):
+    for d in steps:
         L = N - (k - 1) * d
         prod = acc[:L]
         np.multiply(fs[0][:L], fs[1][d : d + L], out=prod, dtype=prod.dtype)
@@ -104,25 +208,20 @@ def ap_sum(fs, d_step: int = 1):
     return int(total) if exact else total
 
 
-def _ap3_fft(f, g, exact: bool):
-    """ap_sum((f, g, f)) through the self-convolution of f.
-
-    (f * f)(2m) sums f(a) f(b) over a + b = 2m: each 3-AP with d >= 1
-    twice (a < b and a > b) plus the term a = b = m.
-    """
-    N = f.size
-    L = 1 << (2 * N - 2).bit_length()
-    ft = np.fft.rfft(f, L)
-    ft *= ft
-    conv = np.fft.irfft(ft, L)
-    mid = conv[0 : 2 * N - 1 : 2]  # mid[m] = (f * f)(2m), m = 0..N-1
-    if not exact:
-        return (float(np.dot(g, mid)) - float(np.dot(f * f, g))) / 2.0
-    rounded = np.rint(mid)
-    margin = float(np.abs(mid - rounded).max())
-    if margin >= 0.25:
-        raise ArithmeticError(f"FFT rounding margin {margin:.3g} >= 0.25: count not exact")
-    return (int(rounded[g].sum()) - int(np.count_nonzero(f & g))) // 2
+def _support_walk(fs, d_step: int, anchors) -> float:
+    """ap_sum from the support of fs[0]: for each anchor x, the strided
+    product of fs[j][x + j d_step m] over m >= 1, summed, times fs[0][x]."""
+    k, N = len(fs), fs[0].size
+    acc = np.empty((N - 1) // ((k - 1) * d_step), dtype=np.float64)
+    total = 0.0
+    for x in anchors.tolist():
+        M = (N - 1 - x) // ((k - 1) * d_step)
+        prod = acc[:M]
+        prod[:] = fs[1][x + d_step : x + d_step * M + 1 : d_step]
+        for j in range(2, k):
+            np.multiply(prod, fs[j][x + j * d_step : x + j * d_step * M + 1 : j * d_step], out=prod)
+        total += float(fs[0][x]) * float(prod.sum())
+    return total
 
 
 def count_ap_primes(table: ArithTable, N: int, k: int) -> int:
@@ -199,42 +298,59 @@ def _solution_symmetry(system: LinearSystem) -> int:
     return count
 
 
-def generic_count(table: ArithTable, system: LinearSystem, N: int,
-                  mode: str = "exact", samples: int = 10**4,
-                  seed: int = 0) -> CountReport:
-    """Count box solutions of A x = 0 with every coordinate prime.
+def _set_partitions(items: list):
+    """Every partition of items into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    for rest in _set_partitions(items[1:]):
+        yield [[items[0]]] + rest
+        for i in range(len(rest)):
+            yield rest[:i] + [[items[0]] + rest[i]] + rest[i + 1 :]
 
-    observed counts ordered solutions (the full solution set in
-    [1, N]^t). extra carries: distinct (all-coordinates-distinct
-    solutions), symmetry (row-span-preserving coordinate permutations),
-    and up_to_symmetry = distinct / symmetry, which for AP systems is
-    the strictly-increasing count. predicted is the Hardy-Littlewood
-    value: the singular series times sum over integer solutions of
-    prod 1/log x_i (solutions with any x_i = 1 are skipped; 1 is not
-    prime). Monte Carlo samples the free coordinates uniformly. More
-    than WORK_CAP cells (N^(t-s)) or samples raise CapacityError.
+
+def _inverse_log(N: int) -> np.ndarray:
+    """w(x) = 1 / log x on [1, N], with w(1) = 0: the Hardy-Littlewood weight."""
+    w = np.zeros(max(N, 0))
+    w[1:] = 1.0 / np.log(np.arange(2, N + 1))
+    return w
+
+
+def _equation_counts(table: ArithTable, row: list[int], N: int) -> tuple[int, int, float]:
+    """(observed, distinct, HL weight sum) of one equation, through equation_sum.
+
+    distinct is inclusion-exclusion over the coordinate equalities: each
+    partition of the coordinates into blocks of equal values is again one
+    equation, with Moebius weight prod over blocks of (-1)^(b-1) (b-1)!.
     """
-    if mode not in ("exact", "montecarlo"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if N > table.limit:
-        raise ValueError(f"N={N} beyond table limit {table.limit}")
-    free_rank = system.t - system.s
-    if mode == "exact" and free_rank > 2:
-        raise FreeRankTooLarge(f"t - s = {free_rank} > 2")
-    if mode == "montecarlo" and samples < 10**3:
-        raise ValueError("need samples >= 10^3")
-    work = N**free_rank if mode == "exact" else samples
-    if work > WORK_CAP:
-        unit = "cells" if mode == "exact" else "samples"
-        raise CapacityError(f"{work} {unit} exceed the work cap {WORK_CAP}")
+    t = len(row)
+    isp = table.is_prime[1 : N + 1]
+    observed = distinct = 0
+    for blocks in _set_partitions(list(range(t))):
+        merged = [sum(row[i] for i in b) for b in blocks]
+        count = equation_sum(merged, [isp] * len(blocks))
+        if len(blocks) == t:
+            observed = count
+        distinct += count * math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1)
+                                      for b in blocks)
+    return observed, distinct, equation_sum(row, [_inverse_log(N)] * t)
 
+
+def _enumerate_counts(table: ArithTable, system: LinearSystem, N: int, mode: str,
+                      work: int, seed: int) -> tuple[int, int, float]:
+    """(observed, distinct, HL weight sum) over work cells of the free
+    coordinates, every cell (exact) or seeded uniform samples (montecarlo)."""
+    free_rank = system.t - system.s
     bound_cols, free_cols = _column_complement(system)
     rows = system.rows()
-    B = [[rows[i][c] for c in bound_cols] for i in range(system.s)]
-    F = np.array([[rows[i][c] for c in free_cols] for i in range(system.s)], dtype=np.int64)
-    adj, det = _adjugate(B)
-    adj = np.array(adj, dtype=np.int64)
-    solve = -adj @ F  # x_bound * det = solve @ x_free
+    adj, det = _adjugate([[row[c] for c in bound_cols] for row in rows])
+    # x_bound * det = solve @ x_free, exact in int64 only below 2^63
+    solve = [[-sum(adj[i][m] * rows[m][c] for m in range(system.s)) for c in free_cols]
+             for i in range(system.s)]
+    reach = max([abs(det)] + [sum(map(abs, r)) * N for r in solve])
+    if reach >= 2**63:
+        raise ValueError(f"coefficients too large: the enumeration reaches {reach}, past int64")
+    solve = np.array(solve, dtype=np.int64)
 
     isp = table.is_prime
     rng = np.random.default_rng(seed)
@@ -272,9 +388,52 @@ def generic_count(table: ArithTable, system: LinearSystem, N: int,
             for i, j in combinations(range(system.t), 2):
                 dmask &= pts[i] != pts[j]
             distinct += int(dmask.sum())
+    return observed, distinct, hl_sum
+
+
+def generic_count(table: ArithTable, system: LinearSystem, N: int,
+                  mode: str = "exact", samples: int = 10**4,
+                  seed: int = 0) -> CountReport:
+    """Count box solutions of A x = 0 with every coordinate prime.
+
+    observed counts ordered solutions (the full solution set in
+    [1, N]^t). extra carries: distinct (all-coordinates-distinct
+    solutions), symmetry (row-span-preserving coordinate permutations),
+    and up_to_symmetry = distinct / symmetry, which for AP systems is
+    the strictly-increasing count. predicted is the Hardy-Littlewood
+    value: the singular series times sum over integer solutions of
+    prod 1/log x_i (solutions with any x_i = 1 are skipped; 1 is not
+    prime). Each row is first divided by the gcd of its entries, which
+    keeps the solution set. Exact mode on one equation runs equation_sum
+    when its FFT length is below the N^(t-s) cells; otherwise, and for
+    Monte Carlo, the free coordinates are enumerated or sampled uniformly.
+    More than WORK_CAP cells or samples raise CapacityError; an
+    enumeration past int64 raises ValueError.
+    """
+    if mode not in ("exact", "montecarlo"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if N > table.limit:
+        raise ValueError(f"N={N} beyond table limit {table.limit}")
+    free_rank = system.t - system.s
+    if mode == "exact" and free_rank > 2:
+        raise FreeRankTooLarge(f"t - s = {free_rank} > 2")
+    if mode == "montecarlo" and samples < 10**3:
+        raise ValueError("need samples >= 10^3")
+    work = N**free_rank if mode == "exact" else samples
+    if work > WORK_CAP:
+        unit = "cells" if mode == "exact" else "samples"
+        raise CapacityError(f"{work} {unit} exceed the work cap {WORK_CAP}")
+
+    primitive = LinearSystem(system.s, system.t, tuple(
+        tuple(e // math.gcd(*row) for e in row) for row in system.entries))
+    row = list(primitive.entries[0])
+    if mode == "exact" and system.s == 1 and _fft_length(row, N) < work:
+        observed, distinct, hl_sum = _equation_counts(table, row, N)
+    else:
+        observed, distinct, hl_sum = _enumerate_counts(table, primitive, N, mode, work, seed)
 
     sym = _solution_symmetry(system)
-    series = singular_series(system, 10**4)
+    series = singular_series(primitive, 10**4)
     if mode == "montecarlo":
         scale = N**free_rank / samples
         observed = observed * scale
@@ -295,6 +454,15 @@ def generic_count(table: ArithTable, system: LinearSystem, N: int,
             "singular_series": series.truncated_product,
         },
     )
+
+
+def log_weight_sum(N: int, k: int) -> float:
+    """sum over x >= 2, d >= 1, x + (k-1)d <= N of prod_{j<k} 1/log(x + j d).
+
+    S(AP_k) times this is the finite-N, log-weighted Hardy-Littlewood
+    prediction of the increasing prime k-APs in [1, N].
+    """
+    return ap_sum((_inverse_log(N),) * k)
 
 
 def prediction(kind, N: int, P0: int = 10**6) -> float:

@@ -61,15 +61,6 @@ class ObstructionSet:
     def members(self) -> np.ndarray:
         return np.nonzero(self.membership)[0] + 1
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("n\n")
-            for n in self.members():
-                fh.write(f"{n}\n")
-
-    def to_bitset(self, path) -> None:
-        np.packbits(self.membership).tofile(path)
-
 
 def build(kind: str, N: int, alpha: float) -> ObstructionSet:
     """Membership by direct evaluation of the defining inequality."""

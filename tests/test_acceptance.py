@@ -94,23 +94,6 @@ def _and_4ap_count(is_prime, N):
     return total
 
 
-def _log_weight_sum(N, k):
-    """sum over x >= 2, d >= 1, x + (k-1)d <= N of prod_{j<k} 1/log(x + j d)."""
-    w = np.zeros(N + 1)
-    w[2:] = 1.0 / np.log(np.arange(2, N + 1))  # weight 0 at x = 0, 1
-    if k == 3:
-        # as in _fft_3ap_count: ordered pairs (a, b), minus a = b, halved
-        return (float(np.dot(w, _even_self_conv(w))) - float(np.sum(w**3))) / 2.0
-    total = 0.0
-    for d in range(1, (N - 2) // (k - 1) + 1):
-        top = N - (k - 1) * d + 1
-        prod = w[2:top].copy()
-        for j in range(1, k):
-            prod *= w[2 + j * d : top + j * d]
-        total += float(prod.sum())
-    return total
-
-
 def test_a4_ratio_gate(ctx):
     N = 10**5
     res = _run(ctx, "A4")
@@ -143,8 +126,8 @@ def test_a4_ratio_gate(ctx):
     # C_k = S(AP_k), the singular series of the k-AP system
     C3 = 4.0 * linsys.closed_form_S3(10**6)
     C4 = 6.0 * linsys.closed_form_S4(10**6)
-    r3 = c3 / (C3 * _log_weight_sum(N, 3))
-    r4 = c4 / (C4 * _log_weight_sum(N, 4))
+    r3 = c3 / (C3 * counting.log_weight_sum(N, 3))
+    r4 = c4 / (C4 * counting.log_weight_sum(N, 4))
     print(f"A4 counts over the log-weighted prediction: ratio3={r3:.4f} ratio4={r4:.4f}")
     assert 0.75 <= r3 <= 1.3 and 0.75 <= r4 <= 1.3, (
         f"A4's exact counts at N=1e5 over the log-weighted Hardy-Littlewood "

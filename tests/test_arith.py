@@ -125,8 +125,13 @@ def test_w_trick_rejections(table_1e4):
         arith.w_trick(table_1e4, params, 10**4)
 
 
+def default_w_params(b: int = 1) -> arith.WTrickParams:
+    """Product of the primes up to 5 (W = 30); w(N) is a free knob here."""
+    return arith.WTrickParams.create(2 * 3 * 5, b)
+
+
 def test_w_trick_default_params():
-    params = arith.default_w_params()
+    params = default_w_params()
     assert params.W == 30 and params.b == 1
     assert params.scale == pytest.approx((1 / 2) * (2 / 3) * (4 / 5))
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import warnings
@@ -7,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hlmlab import arith, cli, linsys
+from hlmlab import arith, cli, linsys, obstruction
 from importlib import resources
 
 SCHEMA = json.loads(
@@ -49,6 +50,16 @@ def test_count_subcommand_small(capsys):
     assert report["N"] == 20
 
 
+def test_count_system_with_large_coefficients(capsys):
+    # 4e15 x_1 + 4e15 x_2 - 8e15 x_3 = 0 has the solutions of 1,1,-2
+    report = run_json(capsys, "count", "--system",
+                      "4000000000000000,4000000000000000,-8000000000000000", "--n", "3000")
+    assert report["results"]["observed"] == 17386.0
+    assert report["results"]["up_to_symmetry"] == 8478.0
+    report = run_json(capsys, "count", "--system", "10000000000000000000,1,-1", "--n", "3000")
+    assert report["results"]["observed"] == 0.0
+
+
 def test_degenerate_system_exit_code(capsys):
     code, _, err = run_cli(capsys, "singular", "--system", "1,-2,1;2,-4,2")
     assert code == 2
@@ -77,11 +88,13 @@ def test_sieve_expsum_arcs(capsys, tmp_path):
     assert [r["verdict"] for r in report["results"]] == ["major", "minor"]
 
 
-def test_typesums_subcommand(capsys):
+def test_typesums_subcommand(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
     report = run_json(
         capsys, "typesums", "--n", "10000", "--d", "10", "--phase", "1.41421356237"
     )
     assert report["results"]["type1"] <= 0.05 * 10000
+    assert list(tmp_path.iterdir()) == []  # the phase branch reads no table
     report = run_json(
         capsys, "typesums", "--n", "4096", "--d", "32", "--w", "32", "--weights", "mobius"
     )
@@ -136,6 +149,25 @@ def test_obstruction_subcommand(capsys, tmp_path):
     )
     assert report["results"]["density"] == pytest.approx(0.1, abs=0.02)
     assert bits.stat().st_size == 625
+
+
+def test_obstruction_exports(capsys, tmp_path):
+    csv_path, bit_path = tmp_path / "members.csv", tmp_path / "members.bits"
+    run_json(
+        capsys, "obstruction", "--kind", "A1", "--n", "100000", "--alpha", "0.1",
+        "--members-csv", str(csv_path), "--bitset", str(bit_path),
+    )
+    obset = obstruction.build("A1", 10**5, 0.1)
+    membership = obset.membership
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "n"
+    assert len(lines) == 1 + int(membership.sum())
+    assert int(lines[1]) == int(obset.members()[0])
+
+    raw = np.fromfile(bit_path, dtype=np.uint8)
+    assert raw.size == math.ceil(10**5 / 8)
+    unpacked = np.unpackbits(raw)[: 10**5].astype(bool)
+    assert np.array_equal(unpacked, membership)
 
 
 def test_csv_format(capsys):
@@ -201,10 +233,13 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["count", "--system", "1,1,-2", "--n", "100000"],
         ["count", "--system", "1,1,-2", "--n", "1000", "--mode", "montecarlo",
          "--samples", "1000000000"],
+        ["count", "--system", "10000000000000000000,1,-1", "--n", "1000", "--mode", "montecarlo"],
+        ["count", "--system", "1,-2,1,0;0,1,-2,4000000000000000001", "--n", "100"],
     ],
     ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
          "expsum-nan-csv", "expsum-theta-inf", "typesums-phase-inf", "arcs-thetas-inf",
-         "count-cells-over-cap", "count-samples-over-cap"],
+         "count-cells-over-cap", "count-samples-over-cap", "count-montecarlo-past-int64",
+         "count-enumeration-past-int64"],
 )
 def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
     out_file = tmp_path / "report.out"

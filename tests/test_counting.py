@@ -1,4 +1,6 @@
+import itertools
 import math
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -50,36 +52,119 @@ def oracle_ap_sum(fs, d_step):
     return total
 
 
-@settings(max_examples=300, deadline=None)
+def oracle_equation_sum(coeffs, fs):
+    """Literal loop over the first t - 1 coordinates, solving for the last."""
+    N, a_last = len(fs[0]), coeffs[-1]
+    vals = [f.tolist() for f in fs]
+    total = 0
+    for head in itertools.product(range(1, N + 1), repeat=len(fs) - 1):
+        rest = -sum(a * x for a, x in zip(coeffs, head))
+        if rest % a_last or not 1 <= rest // a_last <= N:
+            continue
+        term = vals[-1][rest // a_last - 1]
+        for f, x in zip(vals, head):
+            term *= f[x - 1]
+        total += term
+    return total
+
+
+def test_ap_sum_matches_literal_loop():
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.sampled_from([3, 4, 5]),
+        d_step=st.sampled_from([1, 6]),
+        n=st.integers(0, 60),
+        boolean=st.booleans(),
+        sparse=st.booleans(),
+        sharing=st.sampled_from(["all", "ends", "none"]),
+    )
+    def check(data, k, d_step, n, boolean, sparse, sharing):
+        elements = st.booleans() if boolean else st.floats(-1.0, 1.0)
+        dtype = bool if boolean else np.float64
+
+        def draw():
+            return data.draw(arrays(dtype, n, elements=elements, fill=st.nothing()))
+
+        if sharing == "all":  # one sequence k times
+            fs = [draw()] * k
+        elif sharing == "ends":  # f_1 is f_k, the middle ones differ
+            f = draw()
+            fs = [f] + [draw() for _ in range(k - 2)] + [f]
+        else:
+            fs = [draw() for _ in range(k)]
+        if sparse and n:  # f_1 keeps at most three nonzeros
+            keep = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+            fs[0] = np.where(np.isin(np.arange(n), list(keep)), fs[0], 0).astype(dtype)
+        got = counting.ap_sum(fs, d_step)
+        want = oracle_ap_sum(fs, d_step)
+        if boolean:
+            assert type(got) is int and got == want
+        else:
+            assert type(got) is float
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    with mock.patch.object(counting, "_support_walk", wraps=counting._support_walk) as support, \
+            mock.patch.object(counting, "_dense_walk", wraps=counting._dense_walk) as dense:
+        check()
+    assert support.call_count > 0, "no example took the support walk"
+    assert any(c.args[0][0].dtype != bool for c in dense.call_args_list), (
+        "no real-valued example took the whole-array walk")
+
+
+def test_support_walk_reaches_every_anchor():
+    rng = np.random.default_rng(7)
+    N = 61
+    for k, d_step in itertools.product((3, 4, 5), (1, 6)):
+        rest = [rng.uniform(-1.0, 1.0, N) for _ in range(k - 1)]
+        for x in range(N):  # one anchor: fewer nonzeros than d-steps
+            f = np.zeros(N)
+            f[x] = 0.7
+            with mock.patch.object(counting, "_support_walk",
+                                   wraps=counting._support_walk) as support:
+                got = counting.ap_sum([f, *rest], d_step)
+            assert support.call_count == 1
+            assert got == pytest.approx(oracle_ap_sum([f, *rest], d_step), rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
-    k=st.sampled_from([3, 4, 5]),
-    d_step=st.sampled_from([1, 6]),
-    n=st.integers(0, 60),
+    t=st.integers(2, 4),
+    n=st.integers(0, 40),
     boolean=st.booleans(),
-    sharing=st.sampled_from(["all", "ends", "none"]),
 )
-def test_ap_sum_matches_literal_loop(data, k, d_step, n, boolean, sharing):
+def test_equation_sum_matches_literal_loop(data, t, n, boolean):
+    coeffs = data.draw(st.lists(st.integers(1, 5) | st.integers(-5, -1), min_size=t, max_size=t))
     elements = st.booleans() if boolean else st.floats(-1.0, 1.0)
     dtype = bool if boolean else np.float64
-
-    def draw():
-        return data.draw(arrays(dtype, n, elements=elements))
-
-    if sharing == "all":  # one sequence k times
-        fs = [draw()] * k
-    elif sharing == "ends":  # f_1 is f_k, the middle ones differ
-        f = draw()
-        fs = [f] + [draw() for _ in range(k - 2)] + [f]
-    else:
-        fs = [draw() for _ in range(k)]
-    got = counting.ap_sum(fs, d_step)
-    want = oracle_ap_sum(fs, d_step)
+    fs = []
+    for _ in range(t):  # a drawn index reuses an earlier sequence
+        reuse = data.draw(st.integers(0, len(fs)))
+        if reuse == len(fs):
+            fs.append(data.draw(arrays(dtype, n, elements=elements, fill=st.nothing())))
+        else:
+            fs.append(fs[reuse])
+    got = counting.equation_sum(coeffs, fs)
+    want = oracle_equation_sum(coeffs, fs)
     if boolean:
         assert type(got) is int and got == want
     else:
         assert type(got) is float
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_equation_sum_refuses_a_wide_rounding_margin(monkeypatch):
+    f = np.ones(50, dtype=bool)
+    assert counting.equation_sum((1, -1), (f, f)) == 50  # x_1 = x_2
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    with pytest.raises(ArithmeticError, match="margin"):
+        counting.equation_sum((1, -1), (f, f))
+    with pytest.raises(ArithmeticError, match="margin"):
+        counting.ap_sum((f, f, f))
+    # real input is summed as it comes: 50 read values, each 0.3 too large
+    assert counting.equation_sum((1, -1), (f, f.astype(float))) == pytest.approx(65.0)
 
 
 def test_count_ap_primes_frozen_examples(table_1e4):
@@ -176,6 +261,67 @@ def test_generic_count_montecarlo(table_1e4):
 def test_generic_count_prediction_quality(table_1e4):
     report = counting.generic_count(table_1e4, linsys.AP3, 10**4, mode="exact")
     assert report.ratio == pytest.approx(1.0, abs=0.15)
+
+
+def oracle_generic_count(table, row, N):
+    """Literal loop over [1, N]^3: (observed, distinct, HL weight sum)."""
+    isp = table.is_prime
+    observed = distinct = 0
+    hl_sum = 0.0
+    for x in itertools.product(range(1, N + 1), repeat=3):
+        if sum(a * v for a, v in zip(row, x)) != 0:
+            continue
+        if min(x) > 1:
+            hl_sum += 1.0 / math.prod(math.log(v) for v in x)
+        if all(isp[v] for v in x):
+            observed += 1
+            distinct += len(set(x)) == 3
+    return observed, distinct, hl_sum
+
+
+@pytest.mark.parametrize("row", [[1, 1, -2], [1, 2, -3], [2, 3, -5], [1, -1, 1]],
+                         ids=["1,1,-2", "1,2,-3", "2,3,-5", "1,-1,1"])
+def test_generic_count_matches_literal_enumeration(table_1e4, row):
+    system = linsys.new_system([row])
+    series = linsys.singular_series(system, 10**4).truncated_product
+    with mock.patch.object(counting, "_equation_counts", wraps=counting._equation_counts) as fft, \
+            mock.patch.object(counting, "_enumerate_counts",
+                              wraps=counting._enumerate_counts) as walk:
+        for N in (1, 2, 3, 5, 12, 30):
+            report = counting.generic_count(table_1e4, system, N, mode="exact")
+            observed, distinct, hl_sum = oracle_generic_count(table_1e4, row, N)
+            assert report.method == "enumerate"
+            assert report.observed == observed and report.extra["distinct"] == distinct
+            assert report.predicted == pytest.approx(series * hl_sum, rel=1e-12, abs=1e-12)
+    assert fft.call_count > 0 and walk.call_count > 0, "both routes should have run"
+
+
+def test_generic_count_divides_rows_by_their_gcd(table_1e4):
+    balog = linsys.new_system([[1, 1, -2]])
+    scaled = linsys.new_system([[4 * 10**15, 4 * 10**15, -8 * 10**15]])
+    for mode in ("exact", "montecarlo"):
+        want = counting.generic_count(table_1e4, balog, 500, mode=mode, samples=10**4).to_dict()
+        got = counting.generic_count(table_1e4, scaled, 500, mode=mode, samples=10**4).to_dict()
+        assert got.pop("descriptor") == "4000000000000000,4000000000000000,-8000000000000000"
+        want.pop("descriptor")
+        assert got == want
+    huge = linsys.new_system([[10**19, 1, -1]])  # x_2 - x_3 = -10^19 x_1: no box solution
+    assert counting.generic_count(table_1e4, huge, 500).observed == 0.0
+    with pytest.raises(ValueError, match="int64"):
+        counting.generic_count(table_1e4, huge, 500, mode="montecarlo")
+    wide = linsys.new_system([[1, -2, 1, 0], [0, 1, -2, 4 * 10**18 + 1]])
+    with pytest.raises(ValueError, match="int64"):
+        counting.generic_count(table_1e4, wide, 100)
+
+
+def test_log_weight_sum_matches_literal_loop():
+    for N in (0, 1, 2, 7, 60):
+        for k in (3, 4, 5):
+            want = sum(
+                math.prod(1.0 / math.log(x + j * d) for j in range(k))
+                for x in range(2, N + 1) for d in range(1, N) if x + (k - 1) * d <= N
+            )
+            assert counting.log_weight_sum(N, k) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_generic_count_validation(table_1e4):

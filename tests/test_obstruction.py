@@ -124,22 +124,6 @@ def test_constraint_identity():
     assert obstruction.check_constraint_identity(0, 0)
 
 
-def test_exports(tmp_path, a1_1e5):
-    csv_path = tmp_path / "members.csv"
-    a1_1e5.to_csv(csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "n"
-    assert len(lines) == 1 + int(a1_1e5.membership.sum())
-    assert int(lines[1]) == int(a1_1e5.members()[0])
-
-    bit_path = tmp_path / "members.bits"
-    a1_1e5.to_bitset(bit_path)
-    raw = np.fromfile(bit_path, dtype=np.uint8)
-    assert raw.size == math.ceil(10**5 / 8)
-    unpacked = np.unpackbits(raw)[: 10**5].astype(bool)
-    assert np.array_equal(unpacked, a1_1e5.membership)
-
-
 def test_stats_report_schema(a1_1e5):
     report = obstruction.stats_report(a1_1e5)
     for key in ("kind", "N", "alpha", "density", "bias", "ap3", "ap4",
