@@ -1,13 +1,15 @@
 """Counting prime solutions of linear systems, with asymptotic predictions.
 
 Two kernels carry every count. equation_sum sums prod_i f_i(x_i) over
-x in [1, N]^t on one equation sum_i a_i x_i = 0, as one FFT product of
-the dilated sequences (the circle-method identity on a long enough
-cyclic group). ap_sum sums prod_j f_j(x + j d) over x and d >= 1 for k
-sequences on [1, N]: equation_sum on (1, -2, 1) for k = 3 with
-f_1 = f_3, else a walk over d, from the support of f_1 when a real f_1
-has fewer nonzeros than there are d-steps and with whole-array products
-otherwise.
+x_i in [1, N_i] on one equation sum_i a_i x_i = 0, as one FFT product of
+the dilated sequences at a 5-smooth length (the circle-method identity
+on a long enough cyclic group). ap_sum sums prod_j f_j(x + j d) over x
+and d >= 1 for k sequences on [1, N]. For k = 3 with f_1 = f_3 it splits
+x + z = 2y by the parity of x and z (the W-trick with W = 2): each class
+is equation_sum on (-1, 1, 1), a self-convolution of f_1 on the class,
+about N long. Otherwise it walks d, from the support of f_1 when a real
+f_1 has fewer nonzeros than there are d-steps and with whole-array
+products otherwise.
 
   * count_ap_primes: exact number of p_1 < ... < p_k <= N in arithmetic
     progression (genuine primes, strictly increasing), ap_sum of the
@@ -38,7 +40,7 @@ import numpy as np
 
 from .arith import ArithTable, CapacityError
 from .linsys import (LinearSystem, _det_int, ap_system, closed_form_S3, closed_form_S4,
-                     rank_int, singular_series)
+                     primitive_system, rank_int, singular_series)
 
 WORK_CAP = 10**8  # exact cells or Monte Carlo samples in one generic_count
 _CHUNK = 1 << 20  # cells or samples per vectorized pass
@@ -79,25 +81,24 @@ class CountReport:
 
 
 def equation_sum(coeffs, fs):
-    """Sum over x in [1, N]^t with sum_i a_i x_i = 0 of prod_i fs[i][x_i].
+    """Sum over x with x_i in [1, N_i] and sum_i a_i x_i = 0 of prod_i fs[i][x_i].
 
-    fs holds t sequences on [1, N], all of length N; a zero coefficient
-    leaves its coordinate free. The sum is one FFT product: every other
-    sequence is dilated by its a_i (reversed where a_i < 0), and the
-    inverse transform of the product of their spectra is read against
-    the sequence of the largest |a_i|, at that stride. A repeated
-    (sequence, coefficient) pair shares one spectrum, raised to its
-    multiplicity in place. All-bool inputs give an exact int
-    (ArithmeticError when a read value is 0.25 or more from an integer),
-    any other real inputs a float.
+    fs holds t sequences, fs[i] on [1, N_i] with N_i its length; a zero
+    coefficient leaves its coordinate free. The sum is one FFT product:
+    every other sequence is dilated by its a_i (reversed where a_i < 0),
+    and the inverse transform of the product of their spectra, at the
+    5-smooth length above their linear convolution, is read against the
+    sequence of the largest |a_i|, at that stride. A repeated (sequence,
+    coefficient) pair shares one spectrum, raised to its multiplicity in
+    place. All-bool inputs give an exact int (ArithmeticError when a read
+    value is 0.25 or more from an integer), any other real inputs a float.
     """
     fs = [np.asarray(f) for f in fs]
     coeffs = [int(a) for a in coeffs]
     if len(coeffs) != len(fs):
         raise ValueError("need one coefficient per sequence")
-    N = fs[0].size if fs else 0
-    if any(f.ndim != 1 or f.size != N for f in fs):
-        raise ValueError("sequences must be 1-D and of one length")
+    if any(f.ndim != 1 for f in fs):
+        raise ValueError("sequences must be 1-D")
     exact = all(f.dtype == bool for f in fs)
     free = 1 if exact else 1.0
     terms = []
@@ -108,8 +109,8 @@ def equation_sum(coeffs, fs):
             terms.append((a, f))
     if not terms:
         return free
-    if len(terms) == 1 or N == 0:
-        return free * 0  # a x = 0 has no solution x in [1, N]
+    if len(terms) == 1 or any(f.size == 0 for _, f in terms):
+        return free * 0  # a x = 0 has no solution x >= 1, and [1, 0] is empty
     r = max(range(len(terms)), key=lambda i: abs(terms[i][0]))
     sign = -1 if terms[r][0] > 0 else 1  # so that the read coefficient is negative
     stride, f_r = abs(terms[r][0]), terms[r][1]
@@ -117,13 +118,20 @@ def equation_sum(coeffs, fs):
     for i, (a, f) in enumerate(terms):
         if i != r:
             groups.setdefault((id(f), sign * a), [f, sign * a, 0])[2] += 1
-    L = _fft_length(coeffs, N)
+    # the other coordinates sum to index sum_i a_i (x_i - 1) + sum_{a_i < 0} |a_i| (N_i - 1)
+    # of the convolution, which the equation makes base + stride (x_r - 1)
+    top = sum(abs(a) * m * (f.size - 1) for f, a, m in groups.values())
+    base = stride + sum(-a * m * f.size if a < 0 else -a * m for f, a, m in groups.values())
+    lo, hi = max(0, -(base // stride)), min(f_r.size - 1, (top - base) // stride)
+    if lo > hi:
+        return free * 0
+    L = _fft_length(top + 1)
     spec = None
     for f, a, m in groups.values():
         if abs(a) == 1:
             seq = f if a > 0 else f[::-1]
-        else:  # f(x) at a (x - 1), or at |a| (N - x) for a < 0
-            seq = np.zeros(abs(a) * (N - 1) + 1)
+        else:  # f(x) at a (x - 1), or at |a| (N_i - x) for a < 0
+            seq = np.zeros(abs(a) * (f.size - 1) + 1)
             seq[:: abs(a)] = f if a > 0 else f[::-1]
         s = np.fft.rfft(seq, L)
         if m > 1:
@@ -133,13 +141,6 @@ def equation_sum(coeffs, fs):
         else:
             spec *= s
     conv = np.fft.irfft(spec, L)
-    # the other coordinates sum to index sum_i a_i (x_i - 1) + (N - 1) sum_{a_i < 0} |a_i|,
-    # which the equation makes base + stride (x_r - 1)
-    top = sum(abs(a) * m for _, a, m in groups.values()) * (N - 1)
-    base = (N - 1) * sum(-a * m for _, a, m in groups.values() if a < 0) - sign * sum(coeffs)
-    lo, hi = max(0, -(base // stride)), min(N - 1, (top - base) // stride)
-    if lo > hi:
-        return free * 0
     read = conv[base + stride * lo : base + stride * hi + 1 : stride]
     f_r = f_r[lo : hi + 1]
     if not exact:
@@ -151,11 +152,18 @@ def equation_sum(coeffs, fs):
     return free * int(rounded[f_r].sum())
 
 
-def _fft_length(coeffs, N: int) -> int:
-    """equation_sum's FFT length: the power of two above the linear
-    convolution of every dilated sequence but the one read."""
-    sizes = sorted(abs(int(a)) for a in coeffs if a != 0)
-    return 1 << (sum(sizes[:-1]) * max(N - 1, 0)).bit_length()
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: equation_sum's FFT length for a
+    linear convolution of n entries, a length pocketfft transforms fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    odd = 1  # 3^b 5^c
+    while odd < best:
+        part = odd
+        while part < best:
+            best = min(best, part << max(-(-n // part) - 1, 0).bit_length())
+            part *= 3
+        odd *= 5
+    return best
 
 
 def ap_sum(fs, d_step: int = 1):
@@ -164,11 +172,15 @@ def ap_sum(fs, d_step: int = 1):
     fs holds k >= 3 sequences on [1, N], all of length N; x runs over the
     progressions that lie inside [1, N]. All-bool inputs give an exact
     int, any other real inputs a float. For k = 3, d_step = 1 and fs[0]
-    equal to fs[2] the sum is (equation_sum((1, -2, 1), fs) - diagonal) / 2,
-    as d < 0 mirrors d > 0. Otherwise a non-bool input whose fs[0] has
-    fewer nonzeros on its anchor range than there are d-steps is summed
-    from that support, one strided product per anchor; every other case
-    walks d with whole-array products.
+    equal to fs[2] the progressions from 1 are one dot product; in the
+    rest x and z >= 2 share a parity, and each parity class is
+    equation_sum on (-1, 1, 1) of g = fs[1] (one place on for the odd
+    class) against two copies of the class of fs[0], so every transform
+    is about N long. The sum over both classes, less the diagonal x = z,
+    is halved, as d < 0 mirrors d > 0. Otherwise a non-bool input whose
+    fs[0] has fewer nonzeros on its anchor range than there are d-steps
+    is summed from that support, one strided product per anchor; every
+    other case walks d with whole-array products.
     """
     fs = [np.asarray(f) for f in fs]
     k = len(fs)
@@ -181,10 +193,19 @@ def ap_sum(fs, d_step: int = 1):
         raise ValueError("sequences must be 1-D and of one length")
     exact = all(f.dtype == bool for f in fs)
     if k == 3 and d_step == 1 and (fs[0] is fs[2] or np.array_equal(fs[0], fs[2])):
+        # the progressions that start at 1 are one product, f(1) g(1 + d) f(1 + 2d);
+        # in the rest x, z >= 2 share a parity, and x = 2u, z = 2w give u + w = y,
+        # x = 2u + 1, z = 2w + 1 give u + w = y - 1, over u, w >= 1
         f, g = fs[0], fs[1]
-        if exact:
-            return (equation_sum((1, -2, 1), (f, g, f)) - int(np.count_nonzero(f & g))) // 2
-        return (equation_sum((1, -2, 1), (f, g, f)) - float(np.dot(f * f, g))) / 2.0
+        even, odd = f[1::2], f[2::2]
+        both = (equation_sum((-1, 1, 1), (g, even, even))
+                + equation_sum((-1, 1, 1), (g[1:], odd, odd)))
+        ends = g[1 : odd.size + 1]
+        if exact:  # f[:1] is f(1), or empty when N = 0
+            start = int(np.count_nonzero(f[:1] & ends & odd))
+            return (both - int(np.count_nonzero(f[1:] & g[1:]))) // 2 + start
+        start = float(f[:1].sum()) * float(np.dot(ends, odd))
+        return (both - float(np.dot(f[1:] * f[1:], g[1:]))) / 2.0 + start
     steps = range(d_step, (N - 1) // (k - 1) + 1, d_step)
     if not exact:
         anchors = np.flatnonzero(fs[0][: max(N - (k - 1) * d_step, 0)])
@@ -424,10 +445,10 @@ def generic_count(table: ArithTable, system: LinearSystem, N: int,
         unit = "cells" if mode == "exact" else "samples"
         raise CapacityError(f"{work} {unit} exceed the work cap {WORK_CAP}")
 
-    primitive = LinearSystem(system.s, system.t, tuple(
-        tuple(e // math.gcd(*row) for e in row) for row in system.entries))
+    primitive = primitive_system(system)
     row = list(primitive.entries[0])
-    if mode == "exact" and system.s == 1 and _fft_length(row, N) < work:
+    sizes = sorted(map(abs, row))
+    if mode == "exact" and system.s == 1 and _fft_length(sum(sizes[:-1]) * (N - 1) + 1) < work:
         observed, distinct, hl_sum = _equation_counts(table, row, N)
     else:
         observed, distinct, hl_sum = _enumerate_counts(table, primitive, N, mode, work, seed)

@@ -134,6 +134,26 @@ def new_system(matrix) -> LinearSystem:
     return LinearSystem(s=s, t=t, entries=tuple(tuple(r) for r in rows))
 
 
+def primitive_system(system: LinearSystem) -> LinearSystem:
+    """The system with each row divided by the gcd of its entries.
+
+    The integer solutions do not change, and the local factors then count
+    them at every prime. DegenerateSystem when the rows still span a
+    lattice that is not saturated (every s x s minor shares a factor
+    g > 1): its local factors at the primes of g would count solutions
+    mod p that no integer solution reduces to.
+    """
+    rows = [[e // gcd(*row) for e in row] for row in system.entries]
+    g = 0
+    for cols in combinations(range(system.t), system.s):
+        g = gcd(g, _det_int([[row[c] for c in cols] for row in rows]))
+        if g == 1:
+            return LinearSystem(system.s, system.t, tuple(tuple(r) for r in rows))
+    raise DegenerateSystem(
+        f"rows span a non-saturated lattice: every {system.s}x{system.s} minor "
+        f"is divisible by {g}")
+
+
 def _rref_mod_p(rows: list[list[int]], p: int):
     """Reduced row echelon mod p: (rank, pivot_cols, reduced_matrix)."""
     m = [[e % p for e in r] for r in rows]
@@ -304,7 +324,7 @@ def local_factor(system: LinearSystem, p: int, method: str = "rank") -> Fraction
 
 
 def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:
-    """Truncated product of exact alpha_p over p <= P0.
+    """Truncated product of exact alpha_p over p <= P0, of primitive_system(system).
 
     Factors are exact rationals (rank route for large p), computable
     independently per prime; the product always accumulates in
@@ -312,6 +332,7 @@ def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:
     sums of |log alpha_p| over (P0, 10*P0] linearly in 1/p to the
     1/p -> 0 intercept.
     """
+    system = primitive_system(system)
     patterns = _zero_pattern_ranks(system)
     primes = np.flatnonzero(prime_sieve(10 * P0))
     head = [int(p) for p in primes[primes <= P0]]

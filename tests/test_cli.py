@@ -44,6 +44,15 @@ def test_singular_subcommand(capsys):
     assert all(len(row) == 3 for row in results["factors"])
 
 
+def test_singular_divides_rows_by_their_gcd(capsys):
+    want = run_json(capsys, "singular", "--system", "1,1,-2", "--p-max", "1000")["results"]
+    got = run_json(capsys, "singular", "--system",
+                   "4000000000000000,4000000000000000,-8000000000000000",
+                   "--p-max", "1000")["results"]
+    assert got == want
+    assert got["product"] == pytest.approx(1.3205, abs=1e-4)
+
+
 def test_count_subcommand_small(capsys):
     report = run_json(capsys, "count", "--k", "3", "--n", "20")
     assert report["results"]["observed"] == 5.0
@@ -235,11 +244,13 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
          "--samples", "1000000000"],
         ["count", "--system", "10000000000000000000,1,-1", "--n", "1000", "--mode", "montecarlo"],
         ["count", "--system", "1,-2,1,0;0,1,-2,4000000000000000001", "--n", "100"],
+        ["singular", "--system", "1,-1,1,1;-3,1,3,1", "--p-max", "1000"],
+        ["count", "--system", "1,-1,1,1;-3,1,3,1", "--n", "100"],
     ],
     ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
          "expsum-nan-csv", "expsum-theta-inf", "typesums-phase-inf", "arcs-thetas-inf",
          "count-cells-over-cap", "count-samples-over-cap", "count-montecarlo-past-int64",
-         "count-enumeration-past-int64"],
+         "count-enumeration-past-int64", "singular-non-saturated", "count-non-saturated"],
 )
 def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
     out_file = tmp_path / "report.out"

@@ -53,13 +53,14 @@ def oracle_ap_sum(fs, d_step):
 
 
 def oracle_equation_sum(coeffs, fs):
-    """Literal loop over the first t - 1 coordinates, solving for the last."""
-    N, a_last = len(fs[0]), coeffs[-1]
+    """Literal loop over x_i in [1, len(fs[i])] for the first t - 1
+    coordinates, solving for the last."""
+    a_last = coeffs[-1]
     vals = [f.tolist() for f in fs]
     total = 0
-    for head in itertools.product(range(1, N + 1), repeat=len(fs) - 1):
+    for head in itertools.product(*(range(1, len(f) + 1) for f in fs[:-1])):
         rest = -sum(a * x for a, x in zip(coeffs, head))
-        if rest % a_last or not 1 <= rest // a_last <= N:
+        if rest % a_last or not 1 <= rest // a_last <= len(fs[-1]):
             continue
         term = vals[-1][rest // a_last - 1]
         for f, x in zip(vals, head):
@@ -110,6 +111,16 @@ def test_ap_sum_matches_literal_loop():
     assert support.call_count > 0, "no example took the support walk"
     assert any(c.args[0][0].dtype != bool for c in dense.call_args_list), (
         "no real-valued example took the whole-array walk")
+    # every bool f = f_3 and g on [1, n] for n <= 4: both parity classes, the
+    # progressions from 1, and the empty and one-element classes of n = 0, 1, 2
+    for n in range(5):
+        for bits in itertools.product((False, True), repeat=2 * n):
+            f, g = np.array(bits[:n], dtype=bool), np.array(bits[n:], dtype=bool)
+            got = counting.ap_sum((f, g, f))
+            assert type(got) is int and got == oracle_ap_sum((f, g, f), 1)
+            real = counting.ap_sum((f + 0.5, g - 0.25, f + 0.5))
+            assert real == pytest.approx(oracle_ap_sum((f + 0.5, g - 0.25, f + 0.5), 1),
+                                         rel=1e-12, abs=1e-12)
 
 
 def test_support_walk_reaches_every_anchor():
@@ -127,31 +138,46 @@ def test_support_walk_reaches_every_anchor():
             assert got == pytest.approx(oracle_ap_sum([f, *rest], d_step), rel=1e-12, abs=1e-15)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    t=st.integers(2, 4),
-    n=st.integers(0, 40),
-    boolean=st.booleans(),
-)
-def test_equation_sum_matches_literal_loop(data, t, n, boolean):
-    coeffs = data.draw(st.lists(st.integers(1, 5) | st.integers(-5, -1), min_size=t, max_size=t))
-    elements = st.booleans() if boolean else st.floats(-1.0, 1.0)
-    dtype = bool if boolean else np.float64
-    fs = []
-    for _ in range(t):  # a drawn index reuses an earlier sequence
-        reuse = data.draw(st.integers(0, len(fs)))
-        if reuse == len(fs):
-            fs.append(data.draw(arrays(dtype, n, elements=elements, fill=st.nothing())))
+def test_equation_sum_matches_literal_loop():
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        t=st.integers(2, 4),
+        n=st.integers(0, 40),
+        boolean=st.booleans(),
+        unequal=st.booleans(),
+    )
+    def check(data, t, n, boolean, unequal):
+        coeffs = data.draw(st.lists(st.integers(1, 5) | st.integers(-5, -1),
+                                    min_size=t, max_size=t))
+        elements = st.booleans() if boolean else st.floats(-1.0, 1.0)
+        dtype = bool if boolean else np.float64
+        fs = []
+        for _ in range(t):  # a drawn index reuses an earlier sequence
+            reuse = data.draw(st.integers(0, len(fs)))
+            if reuse == len(fs):
+                size = data.draw(st.integers(0, 40)) if unequal else n
+                fs.append(data.draw(arrays(dtype, size, elements=elements, fill=st.nothing())))
+            else:
+                fs.append(fs[reuse])
+        got = counting.equation_sum(coeffs, fs)
+        want = oracle_equation_sum(coeffs, fs)
+        if boolean:
+            assert type(got) is int and got == want
         else:
-            fs.append(fs[reuse])
-    got = counting.equation_sum(coeffs, fs)
-    want = oracle_equation_sum(coeffs, fs)
-    if boolean:
-        assert type(got) is int and got == want
-    else:
-        assert type(got) is float
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert type(got) is float
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    check()
+    # every bool triple of lengths 0, 1, 2, on equations whose read sequence
+    # is first, last, dilated or reversed
+    for coeffs in ((-1, 1, 1), (1, 1, -1), (1, -2, 1), (2, -1, 3), (-3, 1, -1)):
+        for sizes in itertools.product(range(3), repeat=3):
+            for bits in itertools.product((False, True), repeat=sum(sizes)):
+                cuts = np.cumsum((0,) + sizes)
+                fs = [np.array(bits[a:b], dtype=bool) for a, b in zip(cuts, cuts[1:])]
+                got = counting.equation_sum(coeffs, fs)
+                assert type(got) is int and got == oracle_equation_sum(coeffs, fs)
 
 
 def test_equation_sum_refuses_a_wide_rounding_margin(monkeypatch):
@@ -165,6 +191,45 @@ def test_equation_sum_refuses_a_wide_rounding_margin(monkeypatch):
         counting.ap_sum((f, f, f))
     # real input is summed as it comes: 50 read values, each 0.3 too large
     assert counting.equation_sum((1, -1), (f, f.astype(float))) == pytest.approx(65.0)
+    for wide in (0, 1):  # ap_sum's two parity classes: either one alone is refused
+        calls = []
+
+        def one_wide(*args, **kw):
+            calls.append(None)
+            return irfft(*args, **kw) + (0.3 if len(calls) == wide + 1 else 0.0)
+
+        monkeypatch.setattr(np.fft, "irfft", one_wide)
+        with pytest.raises(ArithmeticError, match="margin"):
+            counting.ap_sum((f, f, f))
+        assert len(calls) == wide + 1
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for q in (2, 3, 5):
+            while m % q == 0:
+                m //= q
+        return m == 1
+
+    for n in range(1, 5001):
+        assert counting._fft_length(n) == next(m for m in itertools.count(n) if smooth(m))
+
+
+def test_ap_sum_k3_transforms_at_most_n_entries(monkeypatch):
+    lengths = []
+    rfft = np.fft.rfft
+
+    def recording(a, n=None, *args, **kw):
+        lengths.append(n)
+        return rfft(a, n, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "rfft", recording)
+    rng = np.random.default_rng(3)
+    for N in (2000, 2025):  # even and odd, both 5-smooth: no length is rounded past N
+        for f in (rng.random(N) < 0.3, rng.random(N)):
+            lengths.clear()
+            counting.ap_sum((f, f, f))
+            assert len(lengths) == 2 and max(lengths) <= N
 
 
 def test_count_ap_primes_frozen_examples(table_1e4):

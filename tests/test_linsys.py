@@ -98,6 +98,24 @@ def test_row_scaling_invariance_for_coprime_primes():
         assert linsys.local_factor(scaled4, p) == linsys.local_factor(linsys.AP4, p)
 
 
+def test_primitive_system():
+    assert linsys.primitive_system(linsys.new_system([[7, -14, 7]])) == linsys.AP3
+    scaled4 = linsys.new_system([[2, -4, 2, 0], [0, -3, 6, -3]])
+    assert linsys.primitive_system(scaled4).entries == ((1, -2, 1, 0), (0, -1, 2, -1))
+    scaled = linsys.new_system([[4 * 10**15, 4 * 10**15, -8 * 10**15]])
+    balog = linsys.new_system([[1, 1, -2]])
+    got, want = linsys.singular_series(scaled, 1000), linsys.singular_series(balog, 1000)
+    assert got.local_factors == want.local_factors
+    assert got.truncated_product == want.truncated_product
+    # rows 1,-1,1,1 and -3,1,3,1 span half of their saturation, which
+    # -1,0,2,1 = (row 1 + row 2) / 2 and -3,1,3,1 span: the same integer solutions
+    lattice = linsys.parse_system("1,-1,1,1;-3,1,3,1")
+    with pytest.raises(linsys.DegenerateSystem, match="non-saturated"):
+        linsys.singular_series(lattice, 1000)
+    saturated = linsys.parse_system("-1,0,2,1;-3,1,3,1")
+    assert linsys.primitive_system(saturated) == saturated
+
+
 def test_alpha_envelope_near_one():
     primes_1k = [p for p in range(3, 1001) if all(p % q for q in range(2, int(p**0.5) + 1))]
     for system in (linsys.AP3, linsys.AP4):
