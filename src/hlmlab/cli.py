@@ -187,7 +187,7 @@ def cmd_typesums(args) -> int:
         f = np.exp(2j * np.pi * frac01(args.phase * n))
         kind = f"e({args.phase}*n)"
     else:
-        f = _weights(_cached_table(args.n), args.weights, args.n).astype(np.complex128)
+        f = _weights(_cached_table(args.n), args.weights, args.n)
         kind = args.weights
     results = {"f": kind, "type1": fourier.type1_max(f, args.d)}
     if args.w:

@@ -6,8 +6,14 @@ The normalized transform is
 
 so Parseval reads sum_xi |fhat|^2 = E_n |f|^2. Exponential sums over
 [1, N] are plain averages E_{n<=N} w(n) e(theta*n), evaluated by direct
-summation; the supremum over theta is searched on a zero-padded FFT grid
-(grid error is bounded by the derivative bound 2*pi*N*E|w| per grid cell).
+summation in blocks of 2^16 terms; the supremum over theta is searched on
+the grid xi/M2, M2 the power of two >= oversample*N (grid error is bounded
+by the derivative bound 2*pi*N*E|w| per grid cell). That grid is never
+transformed whole: with M2 = R*L it is read as R frequency classes
+xi = R*j + r, each one transform of length L of the sequence folded mod L
+(the four-step split of Bailey, "FFTs in external or hierarchical memory",
+J. Supercomputing 4, 1990), so the memory beyond the input is O(L) with
+L = max(2^18, M2/32).
 
 Arc classification follows the usual major/minor split: theta is major
 when its best rational approximation a/q with q <= log^A N (continued
@@ -17,7 +23,8 @@ fractions, via Fraction.limit_denominator) satisfies
 Type I/II maximal bilinear sums: the Type I maximum over unit-l2
 coefficients collapses to an l2 norm of inner sums (Cauchy-Schwarz with
 equality); the Type II maximum is the top singular value of the matrix
-f(w*d), computed by power iteration.
+f(w*d), computed by power iteration. Both keep real input real: a real
+sequence and its complex cast give the same values bit for bit.
 """
 
 from dataclasses import dataclass
@@ -80,8 +87,12 @@ def dft(values) -> np.ndarray:
     return np.fft.fft(v) / v.size
 
 
+_EXP_BLOCK = 1 << 16  # terms per exp_sum block
+_CLASS_LEN = 1 << 18  # shortest class transform of sup_exp_sum
+
+
 def exp_sum(weights, theta: float) -> complex:
-    """E_{n<=N} w(n) e(theta*n) by direct summation.
+    """E_{n<=N} w(n) e(theta*n) by direct summation, in blocks of 2^16 terms.
 
     weights[i] is the weight at n = i+1. The phase theta*n is reduced
     mod 1 before exponentiation to keep the argument small.
@@ -90,9 +101,12 @@ def exp_sum(weights, theta: float) -> complex:
     N = w.size
     if N < 1:
         raise ValueError("need N >= 1")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    phase = frac01(theta * n)
-    return complex(np.mean(w * np.exp(2j * np.pi * phase)))
+    total = 0j
+    for lo in range(0, N, _EXP_BLOCK):
+        hi = min(lo + _EXP_BLOCK, N)
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        total += np.sum(w[lo:hi] * np.exp(2j * np.pi * frac01(theta * n)))
+    return complex(total / N)
 
 
 def _padded_length(n: int) -> int:
@@ -102,20 +116,56 @@ def _padded_length(n: int) -> int:
 def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     """Maximize |E_n w(n) e(theta*n)| over the grid xi/M2.
 
-    M2 is the power-of-two FFT length >= oversample*N. Returns
+    M2 is the power-of-two grid length >= oversample*N. Returns
     (theta_star, value); ties resolve to the smallest grid frequency.
+
+    With F(xi) = sum_n w(n) e(-xi*n/M2), M2 = R*L, xi = R*j + r and
+    n = m + L*q (0 <= m < L), F(R*j + r) is the length-L DFT at j of
+    e(-r*m/M2) * sum_q w(m + L*q) e(-r*q/R): class r is one transform of
+    the input folded mod L, each fold block weighted, the fold twisted.
+    Real input has |F(M2 - xi)| = |F(xi)|, so the classes r <= R/2 cover
+    the grid an rfft of length M2 would read; class 0 is an rfft, and it
+    is the only class when M2 <= 2^18. L = min(M2, max(2^18, M2/32)), so
+    there are at most 32 classes and the extra memory is O(L).
     """
     if oversample < 4:
         raise ValueError("oversample must be >= 4")
     w = np.asarray(weights, dtype=np.float64)
     N = w.size
     M2 = _padded_length(oversample * N)
-    buf = np.zeros(M2)
-    buf[1 : N + 1] = w  # value at n sits at index n, so FFT bin xi means theta = xi/M2
-    mags = np.abs(np.fft.rfft(buf))
-    xi = int(np.argmax(mags))
-    # rfft covers xi <= M2/2; by symmetry of real input this is the full sup
-    return xi / M2, float(mags[xi] / N)
+    L = min(M2, max(_CLASS_LEN, M2 // 32))
+    R = M2 // L
+    # fold block q holds n in [qL, (q+1)L) at offset n - qL; w(n) is w[n-1]
+    blocks = [(max(q * L, 1) - q * L, w[max(q * L, 1) - 1 : min((q + 1) * L, N + 1) - 1])
+              for q in range(N // L + 1)]
+    fold = np.zeros(L)
+    for lo, seg in blocks:
+        fold[lo : lo + seg.size] += seg
+    mags = np.abs(np.fft.rfft(fold))
+    j = int(np.argmax(mags))
+    best, best_xi = mags[j], R * j
+    # the twist e(-r*m/M2) is an outer product over m = m1*L2 + m2, so each
+    # class takes L/L2 + L2 exponentials, not L; r*m < M2 keeps them exact
+    L2 = 1 << (L.bit_length() // 2)
+    m1, m2 = np.arange(0, L, L2), np.arange(L2)
+    for r in range(1, R // 2 + 1):
+        fold = np.zeros(L, dtype=np.complex128)
+        for q, (lo, seg) in enumerate(blocks):
+            fold[lo : lo + seg.size] += seg * np.exp(-2j * np.pi * ((r * q) % R) / R)
+        fold *= np.multiply.outer(np.exp(-2j * np.pi * (r * m1) / M2),
+                                  np.exp(-2j * np.pi * (r * m2) / M2)).ravel()
+        mags = np.abs(np.fft.fft(fold))
+        xi = R * np.arange(L) + r
+        if 2 * r == R:
+            # this class holds its own mirror images: keep xi <= M2/2
+            mags, xi = mags[: L // 2], xi[: L // 2]
+        else:
+            xi = np.minimum(xi, M2 - xi)
+        top = mags.max()
+        x = int(xi[mags == top].min())
+        if top > best or (top == best and x < best_xi):
+            best, best_xi = top, x
+    return best_xi / M2, float(best / N)
 
 
 def classify_arc(theta: float, N: int, A: float) -> ArcClassification:
@@ -148,29 +198,31 @@ def type1_max(f, D: int) -> float:
     """max over unit-l2 (a_d) of |sum_{d in [D,2D)} a_d sum_{w < N/d} f(wd)|.
 
     Equals sqrt(sum_d |S_d|^2) with S_d = sum_{w>=1, wd<N} f(wd): the
-    Cauchy-Schwarz equality case aligns a_d with conj(S_d).
+    Cauchy-Schwarz equality case aligns a_d with conj(S_d). S_d sums a
+    strided slice of f, its real and imaginary parts apart, so real input
+    needs no complex copy and gives the value of its complex cast.
     """
-    fv = np.asarray(f, dtype=np.complex128)
+    fv = np.asarray(f)
     N = fv.size
     if not (1 <= D <= N ** (2.0 / 3.0)):
         raise ValueError(f"need 1 <= D <= N^(2/3), got D={D}, N={N}")
-    a = np.zeros(N + 1, dtype=np.complex128)
-    a[1:] = fv
+    parts = (fv.real, fv.imag) if np.iscomplexobj(fv) else (fv,)
     total = 0.0
     for d in range(D, 2 * D):
-        s = a[d:N:d].sum()
-        total += abs(s) ** 2
+        for part in parts:
+            total += float(part[d - 1 : N - 1 : d].sum()) ** 2  # f(wd) for wd < N
     return math.sqrt(total)
 
 
 def _type2_matvec(fext: np.ndarray, ds: np.ndarray, ws: np.ndarray,
-                  v: np.ndarray, block: int = 512) -> np.ndarray:
-    """(Av)_d = sum_w fext[w*d] v_w, rows blocked to bound the gather size."""
+                  v: np.ndarray, conj: bool = False, block: int = 512) -> np.ndarray:
+    """(Av)_d = sum_w fext[w*d] v_w, or sum_w conj(fext[w*d]) v_w with conj;
+    rows blocked to bound the gather size."""
     out = np.empty(ds.size, dtype=np.complex128)
     for lo in range(0, ds.size, block):
         hi = min(lo + block, ds.size)
-        idx = np.outer(ds[lo:hi], ws)
-        out[lo:hi] = fext[idx] @ v
+        rows = fext[np.outer(ds[lo:hi], ws)]
+        out[lo:hi] = (rows.conj() if conj else rows) @ v
     return out
 
 
@@ -180,14 +232,15 @@ def type2_max(f, D: int, W: int, rtol: float = 1e-6, max_iter: int = 10**4,
 
     d in [D,2D), w in [W,2W); entries with w*d > N are zero (f lives on
     [1, N]). Power iteration on A^H A until the value settles to rtol;
-    raises PowerIterationError with the last iterate past max_iter.
+    raises PowerIterationError with the last iterate past max_iter. f
+    keeps its own dtype (real or complex), and each gathered block is
+    conjugated for A^H, so real input gives the value of its complex cast.
     """
-    fv = np.asarray(f, dtype=np.complex128)
+    fv = np.asarray(f)
     N = fv.size
     TypeSumSpec(D=D, W=W, N=N).validate()
-    fext = np.zeros(4 * D * W + 1, dtype=np.complex128)
+    fext = np.zeros(4 * D * W + 1, dtype=np.result_type(fv, np.float64))
     fext[1 : N + 1] = fv[: min(N, 4 * D * W)]
-    fext_conj = np.conj(fext)
     ds = np.arange(D, 2 * D, dtype=np.int64)
     ws = np.arange(W, 2 * W, dtype=np.int64)
 
@@ -201,7 +254,7 @@ def type2_max(f, D: int, W: int, rtol: float = 1e-6, max_iter: int = 10**4,
         if nu == 0.0:
             return 0.0
         # back-multiply by A^H: (A^H u)_w = sum_d conj(f(w*d)) u_d
-        vt = _type2_matvec(fext_conj, ws, ds, u / nu)
+        vt = _type2_matvec(fext, ws, ds, u / nu, conj=True)
         nv = np.linalg.norm(vt)
         if nv == 0.0:
             return 0.0

@@ -308,14 +308,17 @@ def _local_factor_rank(system: LinearSystem, p: int,
 
 
 def local_factor(system: LinearSystem, p: int, method: str = "rank") -> Fraction:
-    """Exact local density alpha_p >= 0 of the system at a prime p.
+    """Exact local density alpha_p >= 0 of primitive_system(system) at a prime p.
 
     method "rank" uses the inclusion-exclusion identity; "enumerate"
     walks the F_p null space (EnumerationTooLarge beyond ENUMERATION_CAP
-    points) and is the independent oracle for it.
+    points) and is the independent oracle for it. Both see the rows
+    divided by their gcd, so a common row factor does not change the
+    factor at its primes; a non-saturated system raises DegenerateSystem.
     """
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"p={p} is not prime")
+    system = primitive_system(system)
     if method == "rank":
         return _local_factor_rank(system, p)
     if method == "enumerate":

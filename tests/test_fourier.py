@@ -1,9 +1,53 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlmlab import fourier
+from hlmlab._phase import frac01
+
+
+def sup_exp_sum_full_length(weights, oversample=4):
+    """The grid sup as one zero-padded rfft of length M2: (xi*, |F(xi)| over
+    xi = 0..M2/2). Ties resolve to the smallest xi."""
+    w = np.asarray(weights, dtype=np.float64)
+    N = w.size
+    buf = np.zeros(fourier._padded_length(oversample * N))
+    buf[1 : N + 1] = w  # value at n sits at index n, so bin xi means theta = xi/M2
+    mags = np.abs(np.fft.rfft(buf))
+    return int(np.argmax(mags)), mags
+
+
+def sup_input(kind, N, rng):
+    n = np.arange(1, N + 1)
+    if kind == "bool":
+        return rng.random(N) < 0.3
+    if kind == "real":
+        return rng.standard_normal(N)
+    if kind == "constant":
+        return np.full(N, 0.75)
+    if kind == "zero":
+        return np.zeros(N)
+    return np.where(n % 2 == 0, 0.5, -0.5)  # parity
+
+
+def assert_same_sup(w, oversample, ties_within_rounding=False):
+    """sup_exp_sum against the full-length rfft: the same grid point and a
+    value within 1e-12 relative. With ties_within_rounding, another grid
+    point is accepted when the oracle's magnitude there is within 1e-12 of
+    its maximum, as for a single nonzero weight, where every |F(xi)| is 1."""
+    xi, mags = sup_exp_sum_full_length(w, oversample)
+    M2 = 2 * (mags.size - 1)
+    theta, value = fourier.sup_exp_sum(w, oversample)
+    N = np.asarray(w).size
+    assert value == pytest.approx(mags[xi] / N, rel=1e-12, abs=0.0)
+    if theta != xi / M2 and ties_within_rounding:
+        assert theta * M2 == int(theta * M2)
+        assert mags[int(theta * M2)] >= mags[xi] * (1 - 1e-12)
+    else:
+        assert theta == xi / M2
 
 
 def test_dft_constant_and_delta():
@@ -40,6 +84,15 @@ def test_exp_sum_mobius_small(table_1e4):
     assert val == pytest.approx(-0.1, abs=1e-15)
 
 
+def test_exp_sum_matches_mean_across_block_edges(rng):
+    for N in (2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 1):
+        w = rng.standard_normal(N)
+        n = np.arange(1, N + 1, dtype=np.float64)
+        for theta in (0.0, 0.5, 1 / 3, math.sqrt(2) - 1):
+            want = np.mean(w * np.exp(2j * np.pi * frac01(theta * n)))
+            assert abs(fourier.exp_sum(w, theta) - want) <= 1e-12 * np.abs(w).mean()
+
+
 def test_sup_exp_sum_nonnegative_weights_peak_at_zero():
     theta, value = fourier.sup_exp_sum(np.ones(100))
     assert theta == 0.0 and value == pytest.approx(1.0)
@@ -66,6 +119,74 @@ def test_sup_exp_sum_grid_adequacy(table_1e6):
         assert abs(a - b) <= 0.02 * max(a, b)
     with pytest.raises(ValueError):
         fourier.sup_exp_sum(np.ones(10), oversample=2)
+
+
+def test_sup_exp_sum_matches_full_length_rfft(rng):
+    # 2^16 +- 1 and 2^18 +- 1 straddle the one-class limit (M2 = 2^18) for
+    # oversample 4 and 5; 10^6 at oversample 4 folds 4 blocks into 16 classes
+    kinds = ("bool", "real", "constant", "zero", "parity")
+    for N in (1, 2, 3, 2**16 - 1, 2**16 + 1, 2**18 - 1, 2**18 + 1):
+        for kind in kinds:
+            w = sup_input(kind, N, rng)
+            for oversample in (4, 5, 8) if N < 2**16 or kind in ("bool", "real") else (4,):
+                assert_same_sup(w, oversample)
+    for kind in ("bool", "real"):
+        assert_same_sup(sup_input(kind, 10**6, rng), 4)
+
+
+def test_sup_exp_sum_matches_full_length_rfft_with_short_classes():
+    # a shorter class transform gives many classes and fold blocks at small
+    # N, and L = M2/32 once M2 > 32 * _CLASS_LEN
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 3000),
+        kind=st.sampled_from(["bool", "real", "constant", "zero", "parity"]),
+        oversample=st.integers(4, 9),
+        class_bits=st.integers(1, 10),
+    )
+    def check(seed, N, kind, oversample, class_bits):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fourier, "_CLASS_LEN", 1 << class_bits)
+            assert_same_sup(sup_input(kind, N, np.random.default_rng(seed)), oversample,
+                            ties_within_rounding=True)
+
+    check()
+
+
+def test_sup_exp_sum_transforms_are_class_length(monkeypatch, rng):
+    N = 3 * 10**5
+    M2 = fourier._padded_length(4 * N)
+    L = max(2**18, M2 // 32)
+    lengths = []
+    for name in ("rfft", "fft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda a, *args, _t=transform, **kw: lengths.append(len(a)) or _t(a, *args, **kw))
+    fourier.sup_exp_sum(rng.standard_normal(N))
+    assert max(lengths) <= L < M2
+    assert len(lengths) == M2 // L // 2 + 1  # classes 0..R/2
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_kernels_stay_within_a_multiple_of_their_input(rng):
+    # at this N the full-length kernels (one rfft of M2, one complex
+    # temporary per stage, complex copies of real input) peak at about
+    # 17.5x, 6.0x and 7.7x the input's bytes; these kernels at about 6.2x,
+    # 1.1x and 2.1x
+    N = 3 * 10**5
+    w = rng.standard_normal(N)
+    assert traced_peak(lambda: fourier.sup_exp_sum(w)) <= 8 * w.nbytes
+    assert traced_peak(lambda: fourier.exp_sum(w, 0.3)) <= 2 * w.nbytes
+    assert traced_peak(lambda: fourier.type2_max(w, 300, 300)) <= 3 * w.nbytes
 
 
 def test_classify_arc_examples():
@@ -110,6 +231,15 @@ def test_type1_basic():
         fourier.type1_max(np.ones(100, dtype=complex), 30)  # 30 > 100^(2/3)
 
 
+def test_type1_against_literal_sum():
+    N, D = 2000, 12
+    loc = np.random.default_rng(4)
+    for f in (loc.standard_normal(N), np.exp(2j * np.pi * loc.random(N))):
+        want = math.sqrt(sum(abs(sum(f[w * d - 1] for w in range(1, N) if w * d < N)) ** 2
+                             for d in range(D, 2 * D)))
+        assert fourier.type1_max(f, D) == pytest.approx(want, rel=1e-12)
+
+
 def test_type1_minor_arc_cancellation():
     N = 10**4
     n = np.arange(1, N + 1)
@@ -136,6 +266,26 @@ def test_type2_against_svd_oracle():
     assert value <= 5 * math.sqrt(32)
     assert value == pytest.approx(top, rel=1e-5)
     assert fourier.type2_max(np.zeros(N, dtype=complex), 32, 32) == 0.0
+
+
+def test_type_sums_of_real_input_equal_those_of_its_complex_cast(rng):
+    N = 3 * 10**5
+    lam = np.log(np.arange(1, N + 1.0)) * (rng.random(N) < 0.1)
+    for f in (rng.standard_normal(N), lam, rng.choice([-1.0, 0.0, 1.0], N)):
+        assert fourier.type1_max(f, 300) == fourier.type1_max(f.astype(complex), 300)
+        assert fourier.type2_max(f, 300, 300) == fourier.type2_max(f.astype(complex), 300, 300)
+
+
+def test_type2_of_complex_input_against_svd_oracle():
+    N = 4096
+    loc = np.random.default_rng(3)
+    f = np.exp(2j * np.pi * loc.random(N))
+    fe = np.zeros(N + 1, dtype=complex)
+    fe[1:] = f
+    for D, W in ((32, 32), (16, 64)):
+        matrix = fe[np.outer(np.arange(D, 2 * D), np.arange(W, 2 * W))]
+        top = np.linalg.svd(matrix, compute_uv=False)[0]
+        assert fourier.type2_max(f, D, W, rtol=1e-9) == pytest.approx(top, rel=1e-6)
 
 
 def test_type2_transpose_symmetry():

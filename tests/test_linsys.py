@@ -91,11 +91,17 @@ def test_local_factor_validation():
 
 def test_row_scaling_invariance_for_coprime_primes():
     scaled = linsys.new_system([[7, -14, 7]])
-    for p in [q for q in PRIMES_TO_100 if q <= 50 and q != 7]:
+    for p in [q for q in PRIMES_TO_100 if q <= 50]:
         assert linsys.local_factor(scaled, p) == linsys.local_factor(linsys.AP3, p)
+    for method in ("rank", "enumerate"):
+        assert linsys.local_factor(scaled, 7, method) == Fraction(35, 36)
     scaled4 = linsys.new_system([[1, -2, 1, 0], [0, -3, 6, -3]])  # row2 x -3
-    for p in (2, 5, 7, 11, 47):
+    for p in (2, 3, 5, 7, 11, 47):
         assert linsys.local_factor(scaled4, p) == linsys.local_factor(linsys.AP4, p)
+    lattice = linsys.parse_system("1,-1,1,1;-3,1,3,1")
+    for method in ("rank", "enumerate"):
+        with pytest.raises(linsys.DegenerateSystem, match="non-saturated"):
+            linsys.local_factor(lattice, 2, method)
 
 
 def test_primitive_system():
