@@ -135,7 +135,7 @@ def cmd_sieve(args) -> int:
         arith.dump_table(tab, args.dump)
     results = {
         "pi": int(tab.is_prime.sum()),
-        "mertens": int(tab.mobius[1:].astype(np.int64).sum()),
+        "mertens": int(tab.mobius[1:].sum(dtype=np.int64)),
         "mean_vonmangoldt": float(tab.vonmangoldt[1:].mean()),
         "dumped_to": args.dump,
     }

@@ -4,16 +4,20 @@ Two kernels carry every count. equation_sum sums prod_i f_i(x_i) over
 x_i in [1, N_i] on one equation sum_i a_i x_i = 0, as one FFT product of
 the dilated sequences at a 5-smooth length (the circle-method identity
 on a long enough cyclic group). ap_sum sums prod_j f_j(x + j d) over x
-and d >= 1 for k sequences on [1, N]. For k = 3 with f_1 = f_3 it splits
-x + z = 2y by the parity of x and z (the W-trick with W = 2): each class
-is equation_sum on (-1, 1, 1), a self-convolution of f_1 on the class,
-about N long. Otherwise it walks d, from the support of f_1 when a real
-f_1 has fewer nonzeros than there are d-steps and with whole-array
-products otherwise.
+and d >= 1 for k sequences on [1, N]. For k = 3 with f_1 = f_3 it uses
+the W-trick with W = 6 when f_1 and f_2 are nonzero at few n with
+gcd(n, 6) > 1, as Lambda and the prime indicator are: x, y, z prime to
+6 lie in one class 1 or 5 mod 6, each class is the parity split below
+on an array about N/6 long, and every other progression is walked from
+that sparse support. Otherwise it splits x + z = 2y by the parity of x
+and z (W = 2): each class is equation_sum on (-1, 1, 1), a
+self-convolution of f_1 on the class, about N long. For k >= 4 it walks
+d, from the support of f_1 when a real f_1 has fewer nonzeros than there
+are d-steps and with whole-array products otherwise.
 
   * count_ap_primes: exact number of p_1 < ... < p_k <= N in arithmetic
     progression (genuine primes, strictly increasing), ap_sum of the
-    prime indicator (d restricted to multiples of 6 for k >= 4).
+    prime indicator (for k >= 4, of its classes 1 and 5 mod 6).
   * weighted_ap_average: E of Lambda(x_1)...Lambda(x_k) over the integer
     solutions of the AP system in [1, N]^k — all solutions, any sign of
     d including d = 0 (that is the normalization of the expectation:
@@ -166,52 +170,125 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def ap_sum(fs, d_step: int = 1):
-    """Sum over x and over d >= 1 with d_step | d of prod_j fs[j][x + j d].
+def ap_sum(fs):
+    """Sum over x and over d >= 1 of prod_j fs[j][x + j d].
 
     fs holds k >= 3 sequences on [1, N], all of length N; x runs over the
     progressions that lie inside [1, N]. All-bool inputs give an exact
-    int, any other real inputs a float. For k = 3, d_step = 1 and fs[0]
-    equal to fs[2] the progressions from 1 are one dot product; in the
-    rest x and z >= 2 share a parity, and each parity class is
-    equation_sum on (-1, 1, 1) of g = fs[1] (one place on for the odd
-    class) against two copies of the class of fs[0], so every transform
-    is about N long. The sum over both classes, less the diagonal x = z,
-    is halved, as d < 0 mirrors d > 0. Otherwise a non-bool input whose
-    fs[0] has fewer nonzeros on its anchor range than there are d-steps
-    is summed from that support, one strided product per anchor; every
-    other case walks d with whole-array products.
+    int, any other real inputs a float. For k = 3 and fs[0] equal to
+    fs[2] the progressions are split by the classes of their terms mod 6
+    (W = 6) when fs[0] and fs[1] are nonzero at few n with gcd(n, 6) > 1:
+    those all prime to 6 lie in class 1 or 5, each summed on its class
+    arrays by the parity split, and the rest are walked from that sparse
+    support. Otherwise x and z are split by parity (W = 2), with every
+    transform about N long. In the remaining cases a non-bool input
+    whose fs[0] has fewer nonzeros on its anchor range than there are
+    d-steps is summed from that support, one strided product per anchor;
+    every other case walks d with whole-array products.
     """
     fs = [np.asarray(f) for f in fs]
     k = len(fs)
     if k < 3:
         raise ValueError("need k >= 3 sequences")
-    if d_step < 1:
-        raise ValueError(f"need d_step >= 1, got {d_step}")
     N = fs[0].size
     if any(f.ndim != 1 or f.size != N for f in fs):
         raise ValueError("sequences must be 1-D and of one length")
     exact = all(f.dtype == bool for f in fs)
-    if k == 3 and d_step == 1 and (fs[0] is fs[2] or np.array_equal(fs[0], fs[2])):
-        # the progressions that start at 1 are one product, f(1) g(1 + d) f(1 + 2d);
-        # in the rest x, z >= 2 share a parity, and x = 2u, z = 2w give u + w = y,
-        # x = 2u + 1, z = 2w + 1 give u + w = y - 1, over u, w >= 1
-        f, g = fs[0], fs[1]
-        even, odd = f[1::2], f[2::2]
-        both = (equation_sum((-1, 1, 1), (g, even, even))
-                + equation_sum((-1, 1, 1), (g[1:], odd, odd)))
-        ends = g[1 : odd.size + 1]
-        if exact:  # f[:1] is f(1), or empty when N = 0
-            start = int(np.count_nonzero(f[:1] & ends & odd))
-            return (both - int(np.count_nonzero(f[1:] & g[1:]))) // 2 + start
-        start = float(f[:1].sum()) * float(np.dot(ends, odd))
-        return (both - float(np.dot(f[1:] * f[1:], g[1:]))) / 2.0 + start
-    steps = range(d_step, (N - 1) // (k - 1) + 1, d_step)
+    if k == 3 and (fs[0] is fs[2] or np.array_equal(fs[0], fs[2])):
+        return _ap3_sum(fs[0], fs[1], exact)
+    steps = range(1, (N - 1) // (k - 1) + 1)
     if not exact:
-        anchors = np.flatnonzero(fs[0][: max(N - (k - 1) * d_step, 0)])
+        anchors = np.flatnonzero(fs[0][: max(N - k + 1, 0)])
         if anchors.size < len(steps):
-            return _support_walk(fs, d_step, anchors)
+            return _support_walk(fs, anchors)
     return _dense_walk(fs, steps, exact)
+
+
+def _ap3_sum(f, g, exact: bool):
+    """ap_sum of (f, g, f), split by the classes mod 6 of x < y < z (W = 6).
+
+    C is the n prime to 6 and R the rest; every progression falls in one
+    of four parts. x, y, z all in C: they are odd, and nonzero mod 3 with
+    x + z = 2y, so x = z = y mod 3; they lie in one class b in {1, 5} mod
+    6 with 6 | d, which is _parity_sum on the class arrays f[b - 1::6],
+    each transform about N/6 long. The other three are walked from the
+    support of f and g on R, which the caller keeps sparse. x and z in R:
+    pairs of that support with one parity. One end a in R and the other e
+    in C: both odd, so a = 3 mod 6, and e = b + 6w on either side of a
+    meets y = (a + b)/2 + 3w, one product of a class array with g at
+    stride 3. x and z in C and y in R: for each class pair (r, s) of
+    (x, z), x = r + 6u, z = s + 6(c - u), one product of class arrays;
+    this counts (x, z) and (z, x), so that part is halved.
+    """
+    # The parity route runs four transforms of about N entries, some
+    # 10 N log2 N flops, and the class route 1/6 of that; each anchor
+    # walks at most two products of N/6 entries, 2N/3 flops, so walking
+    # pays up to about 12 log2 N anchors; 4 log2 N for each of f and g
+    # leaves room for the strided reads
+    budget = 4 * max(f.size, 1).bit_length()
+    off_f = _off_class_support(f, budget)
+    off_g = off_f if g is f else _off_class_support(g, budget)
+    if off_f is None or off_g is None:
+        return _parity_sum(f, g, exact)
+    num = int if exact else float
+    if exact:
+        def dot(a, b):
+            return int(np.count_nonzero(a & b))
+    else:
+        def dot(a, b):
+            return float(np.dot(a, b))
+    fc = {b: np.ascontiguousarray(f[b - 1 :: 6]) for b in (1, 5)}
+    gc = fc if g is f else {b: np.ascontiguousarray(g[b - 1 :: 6]) for b in (1, 5)}
+    total = sum(_parity_sum(fc[b], gc[b], exact) for b in (1, 5))
+    i, j = np.triu_indices(off_f.size, 1)
+    x, z = off_f[i], off_f[j]
+    same = (z - x) % 2 == 0
+    x, z = x[same], z[same]
+    total += dot(f[x - 1] * f[z - 1], g[(x + z) // 2 - 1])
+    for a in off_f[off_f % 2 == 1].tolist():
+        for b, cls in fc.items():
+            y0 = (a + b) // 2 - 1
+            total += num(f[a - 1]) * dot(cls, g[y0 : y0 + 3 * cls.size : 3])
+    centre = 0 if exact else 0.0
+    for y in off_g.tolist():
+        for r, s in ((1, 1), (1, 5), (5, 1), (5, 5)):
+            c, rem = divmod(2 * y - r - s, 6)  # x = r + 6u, z = s + 6(c - u)
+            lo, hi = max(0, c - fc[s].size + 1), min(fc[r].size - 1, c)
+            if rem or lo > hi:
+                continue
+            centre += num(g[y - 1]) * dot(fc[r][lo : hi + 1], fc[s][c - hi : c - lo + 1][::-1])
+    return total + (centre // 2 if exact else centre / 2.0)
+
+
+def _off_class_support(f, budget: int):
+    """The n in [1, N] with gcd(n, 6) > 1 and f(n) != 0, ascending, or
+    None when there are more than budget of them."""
+    even, threes = f[1::2].nonzero()[0], f[2::6].nonzero()[0]
+    if even.size + threes.size > budget:
+        return None
+    return np.sort(np.concatenate((2 * even + 2, 6 * threes + 3)))
+
+
+def _parity_sum(f, g, exact: bool):
+    """ap_sum of (f, g, f) with x and z split by parity (the W-trick with W = 2).
+
+    The progressions from 1 are one product, f(1) g(1 + d) f(1 + 2d); in
+    the rest x, z >= 2 share a parity, and x = 2u, z = 2w give u + w = y,
+    x = 2u + 1, z = 2w + 1 give u + w = y - 1, over u, w >= 1: each class
+    is equation_sum on (-1, 1, 1) of g (one place on for the odd class)
+    against two copies of the class of f, so every transform is about N
+    long. The sum over both classes, less the diagonal x = z, is halved,
+    as d < 0 mirrors d > 0.
+    """
+    even, odd = f[1::2], f[2::2]
+    both = (equation_sum((-1, 1, 1), (g, even, even))
+            + equation_sum((-1, 1, 1), (g[1:], odd, odd)))
+    ends = g[1 : odd.size + 1]
+    if exact:  # f[:1] is f(1), or empty when N = 0
+        start = int(np.count_nonzero(f[:1] & ends & odd))
+        return (both - int(np.count_nonzero(f[1:] & g[1:]))) // 2 + start
+    start = float(f[:1].sum()) * float(np.dot(ends, odd))
+    return (both - float(np.dot(f[1:] * f[1:], g[1:]))) / 2.0 + start
 
 
 def _dense_walk(fs, steps, exact: bool):
@@ -229,18 +306,18 @@ def _dense_walk(fs, steps, exact: bool):
     return int(total) if exact else total
 
 
-def _support_walk(fs, d_step: int, anchors) -> float:
+def _support_walk(fs, anchors) -> float:
     """ap_sum from the support of fs[0]: for each anchor x, the strided
-    product of fs[j][x + j d_step m] over m >= 1, summed, times fs[0][x]."""
+    product of fs[j][x + j m] over m >= 1, summed, times fs[0][x]."""
     k, N = len(fs), fs[0].size
-    acc = np.empty((N - 1) // ((k - 1) * d_step), dtype=np.float64)
+    acc = np.empty((N - 1) // (k - 1), dtype=np.float64)
     total = 0.0
     for x in anchors.tolist():
-        M = (N - 1 - x) // ((k - 1) * d_step)
+        M = (N - 1 - x) // (k - 1)
         prod = acc[:M]
-        prod[:] = fs[1][x + d_step : x + d_step * M + 1 : d_step]
+        prod[:] = fs[1][x + 1 : x + M + 1]
         for j in range(2, k):
-            np.multiply(prod, fs[j][x + j * d_step : x + j * d_step * M + 1 : j * d_step], out=prod)
+            np.multiply(prod, fs[j][x + j : x + j * M + 1 : j], out=prod)
         total += float(fs[0][x]) * float(prod.sum())
     return total
 
@@ -252,10 +329,14 @@ def count_ap_primes(table: ArithTable, N: int, k: int) -> int:
     if N > table.limit:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
     isp = table.is_prime[1 : max(N, 0) + 1]
+    if k == 3:
+        return ap_sum((isp,) * 3)
     # A prime k-AP with k >= 4 has 6 | d (and p1 >= 5): an odd d makes p2 or
     # p3 even and above 2; an even d prime to 3 makes one of p1, p2, p3 equal
-    # to 3, and as p2, p3 >= 4 that is p1, so p4 = 3 + 3d is a multiple of 3
-    return ap_sum((isp,) * k, d_step=1 if k == 3 else 6)
+    # to 3, and as p2, p3 >= 4 that is p1, so p4 = 3 + 3d is a multiple of 3.
+    # So it lies in one class b = 1 or 5 mod 6, at steps of d/6 in isp[b - 1::6]
+    classes = (np.ascontiguousarray(isp[b - 1 :: 6]) for b in (1, 5))
+    return sum(ap_sum((cls,) * k) for cls in classes)
 
 
 def ap_cells(N: int, k: int) -> int:
@@ -276,8 +357,9 @@ def weighted_ap_average(table: ArithTable, N: int, k: int) -> float:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
     lam = table.vonmangoldt[1 : N + 1]
     total = 2.0 * ap_sum((lam,) * k)  # d < 0 mirrors d > 0
-    sq = lam * lam
-    total += float(np.dot(sq, sq if k == 4 else lam))  # the d = 0 term
+    nz = lam[lam != 0]  # the d = 0 term, on the prime powers
+    sq = nz * nz
+    total += float(np.dot(sq, sq if k == 4 else nz))
     return total / (N + 2 * ap_cells(N, k))
 
 

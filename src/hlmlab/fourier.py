@@ -132,6 +132,8 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
         raise ValueError("oversample must be >= 4")
     w = np.asarray(weights, dtype=np.float64)
     N = w.size
+    if N < 1:
+        raise ValueError("need N >= 1")
     M2 = _padded_length(oversample * N)
     L = min(M2, max(_CLASS_LEN, M2 // 32))
     R = M2 // L
@@ -155,14 +157,12 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
         fold *= np.multiply.outer(np.exp(-2j * np.pi * (r * m1) / M2),
                                   np.exp(-2j * np.pi * (r * m2) / M2)).ravel()
         mags = np.abs(np.fft.fft(fold))
-        xi = R * np.arange(L) + r
         if 2 * r == R:
             # this class holds its own mirror images: keep xi <= M2/2
-            mags, xi = mags[: L // 2], xi[: L // 2]
-        else:
-            xi = np.minimum(xi, M2 - xi)
+            mags = mags[: L // 2]
         top = mags.max()
-        x = int(xi[mags == top].min())
+        xi = R * np.flatnonzero(mags == top) + r
+        x = int(np.minimum(xi, M2 - xi).min())
         if top > best or (top == best and x < best_xi):
             best, best_xi = top, x
     return best_xi / M2, float(best / N)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -36,13 +37,13 @@ def oracle_weighted_ap3(table, N):
     return total / (N + 2 * counting.ap_cells(N, 3))
 
 
-def oracle_ap_sum(fs, d_step):
+def oracle_ap_sum(fs):
     """Literal loop over (x, d), the independent oracle for counting.ap_sum."""
     k, N = len(fs), len(fs[0])
     vals = [f.tolist() for f in fs]
     total = 0
     for x in range(N):
-        for d in range(d_step, N, d_step):
+        for d in range(1, N):
             if x + (k - 1) * d >= N:
                 break
             term = 1
@@ -74,13 +75,12 @@ def test_ap_sum_matches_literal_loop():
     @given(
         data=st.data(),
         k=st.sampled_from([3, 4, 5]),
-        d_step=st.sampled_from([1, 6]),
         n=st.integers(0, 60),
         boolean=st.booleans(),
         sparse=st.booleans(),
         sharing=st.sampled_from(["all", "ends", "none"]),
     )
-    def check(data, k, d_step, n, boolean, sparse, sharing):
+    def check(data, k, n, boolean, sparse, sharing):
         elements = st.booleans() if boolean else st.floats(-1.0, 1.0)
         dtype = bool if boolean else np.float64
 
@@ -97,8 +97,8 @@ def test_ap_sum_matches_literal_loop():
         if sparse and n:  # f_1 keeps at most three nonzeros
             keep = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
             fs[0] = np.where(np.isin(np.arange(n), list(keep)), fs[0], 0).astype(dtype)
-        got = counting.ap_sum(fs, d_step)
-        want = oracle_ap_sum(fs, d_step)
+        got = counting.ap_sum(fs)
+        want = oracle_ap_sum(fs)
         if boolean:
             assert type(got) is int and got == want
         else:
@@ -117,25 +117,25 @@ def test_ap_sum_matches_literal_loop():
         for bits in itertools.product((False, True), repeat=2 * n):
             f, g = np.array(bits[:n], dtype=bool), np.array(bits[n:], dtype=bool)
             got = counting.ap_sum((f, g, f))
-            assert type(got) is int and got == oracle_ap_sum((f, g, f), 1)
+            assert type(got) is int and got == oracle_ap_sum((f, g, f))
             real = counting.ap_sum((f + 0.5, g - 0.25, f + 0.5))
-            assert real == pytest.approx(oracle_ap_sum((f + 0.5, g - 0.25, f + 0.5), 1),
+            assert real == pytest.approx(oracle_ap_sum((f + 0.5, g - 0.25, f + 0.5)),
                                          rel=1e-12, abs=1e-12)
 
 
 def test_support_walk_reaches_every_anchor():
     rng = np.random.default_rng(7)
     N = 61
-    for k, d_step in itertools.product((3, 4, 5), (1, 6)):
+    for k in (3, 4, 5):
         rest = [rng.uniform(-1.0, 1.0, N) for _ in range(k - 1)]
         for x in range(N):  # one anchor: fewer nonzeros than d-steps
             f = np.zeros(N)
             f[x] = 0.7
             with mock.patch.object(counting, "_support_walk",
                                    wraps=counting._support_walk) as support:
-                got = counting.ap_sum([f, *rest], d_step)
+                got = counting.ap_sum([f, *rest])
             assert support.call_count == 1
-            assert got == pytest.approx(oracle_ap_sum([f, *rest], d_step), rel=1e-12, abs=1e-15)
+            assert got == pytest.approx(oracle_ap_sum([f, *rest]), rel=1e-12, abs=1e-15)
 
 
 def test_equation_sum_matches_literal_loop():
@@ -230,6 +230,104 @@ def test_ap_sum_k3_transforms_at_most_n_entries(monkeypatch):
             lengths.clear()
             counting.ap_sum((f, f, f))
             assert len(lengths) == 2 and max(lengths) <= N
+
+
+def parity_calls():
+    """Patch _parity_sum to record its calls: on the classes mod 6 it sees
+    arrays of about N/6 entries, on the parity route the whole input."""
+    return mock.patch.object(counting, "_parity_sum", wraps=counting._parity_sum)
+
+
+def test_ap3_classes_mod_6_match_literal_loop(table_1e4):
+    # Lambda is nonzero at n with gcd(n, 6) > 1 only on powers of 2 and 3,
+    # the prime indicator only at 2 and 3: both take the classes mod 6
+    sizes = set(range(1, 201))
+    sizes |= {p**a + e for p, top in ((2, 10), (3, 6)) for a in range(1, top + 1) for e in (-1, 0, 1)}
+    for N in sorted(sizes):
+        for f in (table_1e4.is_prime[1 : N + 1], table_1e4.vonmangoldt[1 : N + 1]):
+            with parity_calls() as parity:
+                got = counting.ap_sum((f, f, f))
+            assert [c.args[0].size for c in parity.call_args_list] == [(N + 5) // 6, (N + 1) // 6]
+            want = oracle_ap_sum((f, f, f))
+            if f.dtype == bool:
+                assert type(got) is int and got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_ap3_classes_mod_6_with_a_few_off_class_points():
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 90), boolean=st.booleans(), shared=st.booleans())
+    def check(data, n, boolean, shared):
+        coprime = np.gcd(np.arange(1, n + 1), 6) == 1
+        off = np.flatnonzero(~coprime).tolist()
+        dtype = bool if boolean else np.float64
+
+        def draw():  # any values on the n prime to 6, and at most four other points
+            f = data.draw(arrays(dtype, n, elements=st.booleans() if boolean else st.floats(-1.0, 1.0),
+                                 fill=st.nothing()))
+            keep = coprime.copy()
+            if off:
+                keep[list(data.draw(st.sets(st.sampled_from(off), max_size=4)))] = True
+            return np.where(keep, f, 0).astype(dtype)
+
+        f = draw()
+        g = f if shared else draw()
+        with parity_calls() as parity:
+            got = counting.ap_sum((f, g, f))
+        assert [c.args[0].size for c in parity.call_args_list] == [(n + 5) // 6, (n + 1) // 6]
+        want = oracle_ap_sum((f, g, f))
+        if boolean:
+            assert type(got) is int and got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    check()
+
+
+def test_dense_off_class_support_keeps_the_parity_route():
+    N = 5000
+    members = np.random.default_rng(11).random(N) < 0.1  # an obstruction-like set
+    for f in (members, members.astype(float), counting._inverse_log(N)):
+        with parity_calls() as parity:
+            counting.ap_sum((f, f, f))
+        assert [c.args[0].size for c in parity.call_args_list] == [N]
+    with parity_calls() as parity:
+        counting.log_weight_sum(N, 3)
+    assert [c.args[0].size for c in parity.call_args_list] == [N]
+
+
+def test_weighted_classes_mod_6_match_the_parity_route(table_1e6, monkeypatch):
+    N = 10**5
+    with parity_calls() as parity:
+        fast = counting.weighted_ap_average(table_1e6, N, 3)
+    assert max(c.args[0].size for c in parity.call_args_list) <= (N + 5) // 6
+    monkeypatch.setattr(counting, "_off_class_support", lambda f, budget: None)
+    with parity_calls() as parity:
+        assert fast == pytest.approx(counting.weighted_ap_average(table_1e6, N, 3), rel=1e-12)
+    assert [c.args[0].size for c in parity.call_args_list] == [N]
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ap3_stays_within_a_multiple_of_its_input(table_1e6):
+    # at this N the parity route peaks at about 2.0x (Lambda) and 40x (the
+    # prime indicator, whose spectra take 16 B per input byte) the input's
+    # bytes; the classes mod 6 at about 0.67x and 7.0x. The weighted
+    # average adds its d = 0 term on the prime powers only, where a
+    # whole-length product of Lambda would alone be 1x
+    N = 3 * 10**5
+    lam, isp = table_1e6.vonmangoldt[1 : N + 1], table_1e6.is_prime[1 : N + 1]
+    for f, bound in ((lam, 0.75), (isp, 7.5)):
+        assert traced_peak(lambda: counting.ap_sum((f, f, f))) <= bound * f.nbytes
+    assert traced_peak(lambda: counting.weighted_ap_average(table_1e6, N, 3)) <= 0.8 * lam.nbytes
 
 
 def test_count_ap_primes_frozen_examples(table_1e4):
