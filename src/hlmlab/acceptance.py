@@ -244,7 +244,7 @@ CRITERIA = [
 ]
 
 
-def run_all(only: str | None = None, printer=print) -> list[CriterionResult]:
+def run_all(only: str | None = None) -> list[CriterionResult]:
     """Run the acceptance items (optionally filtered by id or tag)."""
     ctx = _Context()
     results = []
@@ -255,6 +255,5 @@ def run_all(only: str | None = None, printer=print) -> list[CriterionResult]:
         passed, measured = fn(ctx)
         res = CriterionResult(cid, title, passed, measured, time.time() - t0)
         results.append(res)
-        if printer:
-            printer(res.line())
+        print(res.line())
     return results

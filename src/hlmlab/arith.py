@@ -53,9 +53,6 @@ class ArithTable:
     mobius: np.ndarray
     vonmangoldt: np.ndarray
 
-    def primes(self) -> np.ndarray:
-        return np.nonzero(self.is_prime)[0]
-
     def mobius_seq(self, N: int | None = None) -> np.ndarray:
         """mu(n) for n = 1..N as a length-N float array."""
         N = self.limit if N is None else N

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -168,6 +169,8 @@ def cmd_arcs(args) -> int:
         thetas = [float(t) for t in args.thetas.split(",")]
         _finite_phases("--thetas", thetas)
     else:
+        if args.grid < 1:
+            raise ValueError(f"--grid must be >= 1, got {args.grid}")
         thetas = ((np.arange(args.grid) + 0.5) / args.grid).tolist()
     sweep = fourier.arc_sweep(thetas, args.n, args.exponent)
     params = {"N": args.n, "A": args.exponent}
@@ -252,7 +255,11 @@ def cmd_count(args) -> int:
 
 def cmd_gowers(args) -> int:
     if args.input:
-        f = np.loadtxt(args.input, delimiter=",", dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data: refused below
+            f = np.loadtxt(args.input, delimiter=",", dtype=np.float64, ndmin=1)
+        if f.size == 0:
+            raise ValueError("input CSV holds no values")
         if f.ndim != 1:
             raise ValueError("input CSV must be a single column")
     elif args.weights:

@@ -43,8 +43,8 @@ import math
 import numpy as np
 
 from .arith import ArithTable, CapacityError
-from .linsys import (LinearSystem, _det_int, ap_system, closed_form_S3, closed_form_S4,
-                     primitive_system, rank_int, singular_series)
+from .linsys import (LinearSystem, _bareiss, ap_system, closed_form_S3, closed_form_S4,
+                     primitive_system, singular_series)
 
 WORK_CAP = 10**8  # exact cells or Monte Carlo samples in one generic_count
 _CHUNK = 1 << 20  # cells or samples per vectorized pass
@@ -368,7 +368,7 @@ def _column_complement(system: LinearSystem) -> tuple[list[int], list[int]]:
     rows = system.rows()
     for bound in combinations(range(system.t), system.s):
         sub = [[row[c] for c in bound] for row in rows]
-        if rank_int(sub) == system.s:
+        if _bareiss(sub)[0] == system.s:
             free = [c for c in range(system.t) if c not in bound]
             return list(bound), free
     raise FreeRankTooLarge("no invertible column complement")  # unreachable if validated
@@ -381,8 +381,8 @@ def _adjugate(m: list[list[int]]) -> tuple[list[list[int]], int]:
     for i in range(n):
         for j in range(n):
             minor = [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            adj[i][j] = (-1) ** (i + j) * (_det_int(minor) if minor else 1)
-    return adj, _det_int(m)
+            adj[i][j] = (-1) ** (i + j) * _bareiss(minor)[1]
+    return adj, _bareiss(m)[1]
 
 
 def _solution_symmetry(system: LinearSystem) -> int:
@@ -396,7 +396,7 @@ def _solution_symmetry(system: LinearSystem) -> int:
     count = 0
     for perm in permutations(range(system.t)):
         permuted = [[row[c] for c in perm] for row in rows]
-        if rank_int(rows + permuted) == system.s:
+        if _bareiss(rows + permuted)[0] == system.s:
             count += 1
     return count
 
@@ -568,16 +568,9 @@ def log_weight_sum(N: int, k: int) -> float:
     return ap_sum((_inverse_log(N),) * k)
 
 
-def prediction(kind, N: int, P0: int = 10**6) -> float:
-    """Hardy-Littlewood main term.
-
-    kind = 3 or 4: S_k N^2 / (log N)^k for increasing prime k-APs.
-    kind = LinearSystem: the weighted-average limit, i.e. the truncated
-    singular series (0 when some local factor vanishes).
-    """
-    if isinstance(kind, LinearSystem):
-        return singular_series(kind, min(P0, 10**4)).truncated_product
-    k = int(kind)
+def prediction(k: int, N: int, P0: int = 10**6) -> float:
+    """Hardy-Littlewood main term S_k N^2 / (log N)^k for increasing prime
+    k-APs, k = 3 or 4."""
     if N < 100:
         raise ValueError("need N >= 100")
     if k == 3:

@@ -1,14 +1,10 @@
-"""Discrete Fourier analysis on Z/M and on [1, N].
+"""Exponential sums on [1, N], arc classification and bilinear sums.
 
-The normalized transform is
-
-    fhat(xi) = (1/M) * sum_n f(n) e(-xi*n/M),      e(t) = exp(2*pi*i*t),
-
-so Parseval reads sum_xi |fhat|^2 = E_n |f|^2. Exponential sums over
-[1, N] are plain averages E_{n<=N} w(n) e(theta*n), evaluated by direct
-summation in blocks of 2^16 terms; the supremum over theta is searched on
-the grid xi/M2, M2 the power of two >= oversample*N (grid error is bounded
-by the derivative bound 2*pi*N*E|w| per grid cell). That grid is never
+Exponential sums over [1, N] are plain averages E_{n<=N} w(n) e(theta*n),
+e(t) = exp(2*pi*i*t), evaluated by direct summation in blocks of 2^16
+terms; the supremum over theta is searched on the grid xi/M2, M2 the
+power of two >= oversample*N (grid error is bounded by the derivative
+bound 2*pi*N*E|w| per grid cell). That grid is never
 transformed whole: with M2 = R*L it is read as R frequency classes
 xi = R*j + r, each one transform of length L of the sequence folded mod L
 (the four-step split of Bailey, "FFTs in external or hierarchical memory",
@@ -27,7 +23,7 @@ f(w*d), computed by power iteration. Both keep real input real: a real
 sequence and its complex cast give the same values bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 import math
 
@@ -42,32 +38,6 @@ class ArcClassification:
     verdict: str  # "major" | "minor"
     a: int | None
     q: int | None
-    N: int
-    A: float
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "verdict": self.verdict,
-            "a": self.a,
-            "q": self.q,
-        }
-
-
-@dataclass(frozen=True)
-class TypeSumSpec:
-    """Dyadic ranges [D, 2D) x [W, 2W) for a Type II sum at level N."""
-
-    D: int
-    W: int
-    N: int
-
-    def validate(self) -> None:
-        lo = self.N ** (1.0 / 3.0)
-        if not (lo <= self.D <= self.N ** (2.0 / 3.0)):
-            raise ValueError(f"need N^(1/3) <= D <= N^(2/3), got D={self.D}, N={self.N}")
-        if not (lo <= self.W <= self.N / self.D):
-            raise ValueError(f"need N^(1/3) <= W <= N/D, got W={self.W}, D={self.D}, N={self.N}")
 
 
 class PowerIterationError(RuntimeError):
@@ -76,15 +46,6 @@ class PowerIterationError(RuntimeError):
     def __init__(self, msg: str, last_value: float):
         super().__init__(msg)
         self.last_value = last_value
-
-
-def dft(values) -> np.ndarray:
-    """Forward transform with the averaged (1/M) normalization: the
-    coefficients fhat(xi), xi = 0..M-1."""
-    v = np.asarray(values, dtype=np.complex128)
-    if v.size == 0:
-        raise ValueError("modulus must be >= 1")
-    return np.fft.fft(v) / v.size
 
 
 _EXP_BLOCK = 1 << 16  # terms per exp_sum block
@@ -185,13 +146,13 @@ def classify_arc(theta: float, N: int, A: float) -> ArcClassification:
     a, q = approx.numerator, approx.denominator
     eta = abs(theta - a / q)
     if eta <= Q / (q * N):
-        return ArcClassification(theta=theta, verdict="major", a=a, q=q, N=N, A=A)
-    return ArcClassification(theta=theta, verdict="minor", a=None, q=None, N=N, A=A)
+        return ArcClassification(theta=theta, verdict="major", a=a, q=q)
+    return ArcClassification(theta=theta, verdict="minor", a=None, q=None)
 
 
 def arc_sweep(thetas, N: int, A: float) -> list[dict]:
     """Classification report for a batch of thetas, JSON-ready."""
-    return [classify_arc(t, N, A).to_dict() for t in thetas]
+    return [asdict(classify_arc(t, N, A)) for t in thetas]
 
 
 def type1_max(f, D: int) -> float:
@@ -238,7 +199,11 @@ def type2_max(f, D: int, W: int, rtol: float = 1e-6, max_iter: int = 10**4,
     """
     fv = np.asarray(f)
     N = fv.size
-    TypeSumSpec(D=D, W=W, N=N).validate()
+    lo = N ** (1.0 / 3.0)
+    if not lo <= D <= N ** (2.0 / 3.0):
+        raise ValueError(f"need N^(1/3) <= D <= N^(2/3), got D={D}, N={N}")
+    if not lo <= W <= N / D:
+        raise ValueError(f"need N^(1/3) <= W <= N/D, got W={W}, D={D}, N={N}")
     fext = np.zeros(4 * D * W + 1, dtype=np.result_type(fv, np.float64))
     fext[1 : N + 1] = fv[: min(N, 4 * D * W)]
     ds = np.arange(D, 2 * D, dtype=np.int64)

@@ -135,23 +135,6 @@ def uk_norm_bruteforce(f, k: int) -> float:
     return max(total / M ** (k + 1), 0.0) ** (1.0 / 2**k)
 
 
-def u3_norm_sampled(f, samples: int = 512, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo U^3 estimate for large M: sample h, U^2 of each D_h f.
-
-    Returns (estimate, standard error of the norm estimate). Intended
-    for M beyond the exact k=3 cap; seeded and reproducible.
-    """
-    v = _as_vector(f)
-    rng = np.random.default_rng(seed)
-    hs = rng.integers(0, v.size, size=samples)
-    vals = np.concatenate([_u2_power(g) for g in _derivatives(v[None, :], hs)])
-    mean = float(vals.mean())
-    se_mean = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    norm = max(mean, 0.0) ** 0.125
-    se = se_mean / (8.0 * max(norm, 1e-12) ** 7)  # delta method through x^(1/8)
-    return norm, se
-
-
 def ap_average(fs, M: int | None = None) -> complex:
     """E_{x,d in Z/M} prod_i f_i(x + (i-1)d) for k = len(fs) functions."""
     vs = [_as_vector(f) for f in fs]

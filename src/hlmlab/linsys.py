@@ -33,7 +33,7 @@ progressions of primes):
     S4(P0) = 3/4 * prod_{5 <= p <= P0} (1 - (3p-1)/(p-1)^3) ~ 0.4764
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
@@ -80,7 +80,6 @@ class SingularSeries:
     truncated_product: float
     truncation_prime: int
     tail_estimate: float
-    system: LinearSystem | None = field(default=None, repr=False)
 
 
 def parse_system(text: str) -> LinearSystem:
@@ -89,19 +88,23 @@ def parse_system(text: str) -> LinearSystem:
     return new_system(rows)
 
 
-def rank_int(rows: list[list[int]]) -> int:
-    """Exact rank over Q by fraction-free (Bareiss) elimination."""
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """(rank over Q, determinant) by one fraction-free (Bareiss) elimination.
+
+    Every division is exact, so the integers never round. The determinant
+    is that of a square matrix (1 for the 0 x 0 one); it reads 0 for a
+    singular or a non-square matrix.
+    """
     m = [list(map(int, r)) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev = 1
+    nr, nc = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
     for col in range(nc):
         piv = next((r for r in range(rank, nr) if m[r][col] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
         for r in range(rank + 1, nr):
             for c in range(col + 1, nc):
                 m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
@@ -110,7 +113,7 @@ def rank_int(rows: list[list[int]]) -> int:
         rank += 1
         if rank == nr:
             break
-    return rank
+    return rank, sign * prev if rank == nr == nc else 0
 
 
 def new_system(matrix) -> LinearSystem:
@@ -120,14 +123,14 @@ def new_system(matrix) -> LinearSystem:
     if s < 1 or any(len(r) != len(rows[0]) for r in rows):
         raise DegenerateSystem("matrix must be rectangular with at least one row")
     t = len(rows[0])
-    r = rank_int(rows)
+    r = _bareiss(rows)[0]
     if r < s:
         raise DegenerateSystem(f"rank deficient: rank {r} < s = {s}")
     if t < s + 2:
         raise DegenerateSystem(f"need t >= s+2, got s={s}, t={t}")
     for i, j in combinations(range(t), 2):
         reduced = [[row[c] for c in range(t) if c not in (i, j)] for row in rows]
-        if rank_int(reduced) < s:
+        if _bareiss(reduced)[0] < s:
             raise DegenerateSystem(
                 f"row span contains a vector supported on columns {{{i},{j}}}"
             )
@@ -146,7 +149,7 @@ def primitive_system(system: LinearSystem) -> LinearSystem:
     rows = [[e // gcd(*row) for e in row] for row in system.entries]
     g = 0
     for cols in combinations(range(system.t), system.s):
-        g = gcd(g, _det_int([[row[c] for c in cols] for row in rows]))
+        g = gcd(g, _bareiss([[row[c] for c in cols] for row in rows])[1])
         if g == 1:
             return LinearSystem(system.s, system.t, tuple(tuple(r) for r in rows))
     raise DegenerateSystem(
@@ -236,12 +239,12 @@ def _zero_pattern_ranks(system: LinearSystem) -> _SystemPatterns:
         for S in combinations(range(t), size):
             keep = [c for c in range(t) if c not in S]
             sub = [[row[c] for c in keep] for row in rows]
-            r = rank_int(sub) if keep else 0
+            r = _bareiss(sub)[0]
             g = 0
             if r:
                 for rsel in combinations(range(len(sub)), r):
                     for csel in combinations(range(len(keep)), r):
-                        g = gcd(g, _det_int([[sub[i][j] for j in csel] for i in rsel]))
+                        g = gcd(g, _bareiss([[sub[i][j] for j in csel] for i in rsel])[1])
                         if g == 1:
                             break
                     if g == 1:
@@ -257,27 +260,6 @@ def _zero_pattern_ranks(system: LinearSystem) -> _SystemPatterns:
         subsets=tuple(subsets),
         gcds=gcds,
     )
-
-
-def _det_int(m: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination."""
-    n = len(m)
-    m = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[col][col] * m[r][c] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
 
 
 def _local_factor_rank(system: LinearSystem, p: int,
@@ -333,8 +315,10 @@ def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:
     independently per prime; the product always accumulates in
     ascending p in double precision. tail_estimate extrapolates partial
     sums of |log alpha_p| over (P0, 10*P0] linearly in 1/p to the
-    1/p -> 0 intercept.
+    1/p -> 0 intercept. P0 < 2 raises ValueError.
     """
+    if P0 < 2:
+        raise ValueError(f"need P0 >= 2, got P0 = {P0}")
     system = primitive_system(system)
     patterns = _zero_pattern_ranks(system)
     primes = np.flatnonzero(prime_sieve(10 * P0))
@@ -344,7 +328,7 @@ def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:
     for p in head:
         product *= float(factors[p])
     if any(a == 0 for a in factors.values()):
-        return SingularSeries(factors, 0.0, P0, 0.0, system)
+        return SingularSeries(factors, 0.0, P0, 0.0)
 
     tail_primes = primes[primes > P0]
     if tail_primes.size >= 4:
@@ -355,7 +339,7 @@ def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:
         tail = float(max(intercept, csum[-1]))
     else:
         tail = 0.0
-    return SingularSeries(factors, product, P0, tail, system)
+    return SingularSeries(factors, product, P0, tail)
 
 
 def _alpha_float(patterns: _SystemPatterns, system: LinearSystem,

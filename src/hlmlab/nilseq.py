@@ -1,5 +1,5 @@
-"""Nilsequences: torus rotations, the Heisenberg nilmanifold, generalized
-quadratic phases, and local quadratics.
+"""Nilsequences: torus rotations, the Heisenberg nilmanifold and generalized
+quadratic phases.
 
 The Heisenberg nilmanifold is the quotient of upper unitriangular 3x3
 real matrices by the integer lattice, coordinatized as (x, y, z) with
@@ -43,10 +43,6 @@ import math
 import numpy as np
 
 from ._phase import EXACT_LIMIT, frac01, frac_dd, frac_half, nearest_int, two_prod
-
-
-class OutsideSupportError(ValueError):
-    """A second-difference corner left the local-quadratic support."""
 
 
 @dataclass(frozen=True)
@@ -166,8 +162,6 @@ class TestFunction:
     F(x, y, -1/2) = F(x, x+y, 1/2) holds exactly (both sides are 0).
     kind "torus_character": F = e(m1*x + m2*z); no cutoff is needed
     since e(m2*z) glues on its own (e(-m2/2) = e(m2/2) for integer m2).
-    kind "custom_grid": trilinear interpolation of a complex grid over
-    (x, y, z); the constructor checks the gluing on the grid boundary.
 
     lipschitz_estimate is a sampled finite-difference estimate on a
     random grid, not a certified bound.
@@ -175,7 +169,6 @@ class TestFunction:
 
     kind: str
     m: tuple
-    grid: np.ndarray | None = None
     lipschitz_estimate: float = field(default=0.0)
 
     @classmethod
@@ -187,20 +180,6 @@ class TestFunction:
     @classmethod
     def torus_character(cls, m1: int = 1, m2: int = 0) -> "TestFunction":
         tf = cls(kind="torus_character", m=(int(m1), int(m2)))
-        tf.lipschitz_estimate = tf._estimate_lipschitz()
-        return tf
-
-    @classmethod
-    def custom_grid(cls, grid, gluing_tol: float = 1e-9) -> "TestFunction":
-        g = np.asarray(grid, dtype=np.complex128)
-        if g.ndim != 3:
-            raise ValueError("grid must be 3-d over (x, y, z)")
-        if np.max(np.abs(g)) > 1.0 + 1e-12:
-            raise ValueError("need |F| <= 1")
-        tf = cls(kind="custom_grid", m=(), grid=g)
-        err = tf.gluing_defect(g.shape[0], g.shape[1])
-        if err > gluing_tol:
-            raise ValueError(f"gluing defect {err:.2e} exceeds {gluing_tol:.0e}")
         tf.lipschitz_estimate = tf._estimate_lipschitz()
         return tf
 
@@ -219,25 +198,7 @@ class TestFunction:
         z = np.asarray(z, dtype=np.float64)
         if self.kind == "vertical_character":
             return np.exp(2j * np.pi * self.m[0] * y) * self._bump(z)
-        if self.kind == "torus_character":
-            return np.exp(2j * np.pi * (self.m[0] * x + self.m[1] * z))
-        return self._interp(x, y, z)
-
-    def _interp(self, x, y, z):
-        nx, ny, nz = self.grid.shape
-        # x, y periodic on [0,1); z linear on (-1/2, 1/2]
-        fx = frac01(x) * nx
-        fy = frac01(y) * ny
-        fz = np.clip((np.asarray(z) + 0.5) * (nz - 1), 0, nz - 1)
-        out = np.zeros(np.broadcast(fx, fy, fz).shape, dtype=np.complex128)
-        i0, j0, k0 = np.floor(fx).astype(int), np.floor(fy).astype(int), np.floor(fz).astype(int)
-        tx, ty, tz = fx - i0, fy - j0, fz - k0
-        k1 = np.minimum(k0 + 1, nz - 1)
-        for di, wx in ((0, 1 - tx), (1, tx)):
-            for dj, wy in ((0, 1 - ty), (1, ty)):
-                for dk, wz in ((k0, 1 - tz), (k1, tz)):
-                    out += wx * wy * wz * self.grid[(i0 + di) % nx, (j0 + dj) % ny, dk]
-        return out
+        return np.exp(2j * np.pi * (self.m[0] * x + self.m[1] * z))
 
     def gluing_defect(self, gx: int = 100, gy: int = 100) -> float:
         """max |F(x, y, -1/2) - F(x, x+y, 1/2)| over a gx-by-gy grid."""
@@ -267,6 +228,9 @@ def eval_nilsequence(F: TestFunction, g: HeisenbergElement,
     return F.evaluate(orbit[:, 0], orbit[:, 1], orbit[:, 2])
 
 
+GQ_DIM_CAP = 64  # largest number C of frequencies in a GeneralizedQuadratic
+
+
 @dataclass(frozen=True)
 class GeneralizedQuadratic:
     """phi(n) = sum_{r,s} beta[r,s] {theta_r n}{theta_s n} + sum_r gamma[r] {theta_r n}."""
@@ -276,13 +240,13 @@ class GeneralizedQuadratic:
     thetas: np.ndarray
 
     @classmethod
-    def create(cls, beta, gamma_coeffs, thetas, dim_cap: int = 64) -> "GeneralizedQuadratic":
+    def create(cls, beta, gamma_coeffs, thetas) -> "GeneralizedQuadratic":
         b = np.atleast_2d(np.asarray(beta, dtype=np.float64))
         g = np.atleast_1d(np.asarray(gamma_coeffs, dtype=np.float64))
         th = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
         C = th.size
-        if C > dim_cap:
-            raise ValueError(f"dimension {C} beyond cap {dim_cap}")
+        if C > GQ_DIM_CAP:
+            raise ValueError(f"dimension {C} beyond cap {GQ_DIM_CAP}")
         if b.shape != (C, C) or g.shape != (C,):
             raise ValueError("beta must be C x C and gamma length C")
         if not (np.isfinite(b).all() and np.isfinite(g).all() and np.isfinite(th).all()):
@@ -311,75 +275,6 @@ def quadratic_embedding(theta: float, N: int) -> GeneralizedQuadratic:
     return GeneralizedQuadratic.create(
         beta=[[100.0 * theta * N * N]], gamma_coeffs=[0.0], thetas=[1.0 / (10.0 * N)]
     )
-
-
-def correlate(weights, seq) -> complex:
-    """E_{n<=N} w(n) * seq(n); lengths must match."""
-    w = np.asarray(weights, dtype=np.float64)
-    s = np.asarray(seq)
-    if w.shape != s.shape:
-        raise ValueError(f"length mismatch: {w.shape} vs {s.shape}")
-    return complex(np.mean(w * s))
-
-
-@dataclass
-class LocalQuadratic:
-    """Phase on a structured support B_N inside [N/2, N).
-
-    support[i] says whether n = n0 + i belongs to B_N (nonvanishing of
-    the stored 1-step nilsequence f1); phase[i] is phi(n) mod 1 in
-    (-1/2, 1/2], meaningful only on the support. Off-support second
-    differences are refused rather than extrapolated.
-    """
-
-    n0: int
-    support: np.ndarray
-    phase: np.ndarray
-    f1: np.ndarray
-
-    def contains(self, n: int) -> bool:
-        i = n - self.n0
-        return 0 <= i < self.support.size and bool(self.support[i])
-
-    def phase_at(self, n: int) -> float:
-        if not self.contains(n):
-            raise OutsideSupportError(f"n={n} outside the support")
-        return float(self.phase[n - self.n0])
-
-
-def make_local_quadratic(N: int, quad_theta: float, rot_theta: float,
-                         level: float = 0.3) -> LocalQuadratic:
-    """Explicit local quadratic: phi(n) = {quad_theta * n^2} on
-    B_N = {N/2 <= n < N : f1(n) != 0}, f1(n) = max(0, cos(2 pi n rot_theta) - level).
-
-    Phases come from the double-double kernel (hlmlab._phase.frac_dd):
-    within ~1e-16 of the exact {quad_theta * n^2}, so second differences
-    are clean at the 1e-12 level even for n^2 ~ 1e12; n^2 >= 2^53 raises
-    ValueError.
-    """
-    n0 = N // 2
-    ns = np.arange(n0, N)
-    f1 = np.maximum(0.0, np.cos(2 * np.pi * frac_half(rot_theta * ns)) - level)
-    support = f1 > 0.0
-    phase = frac_dd(ns * ns, quad_theta, reduce=frac_half)
-    return LocalQuadratic(n0=n0, support=support, phase=phase, f1=f1)
-
-
-def second_difference(lq: LocalQuadratic, x: int, h1: int, h2: int) -> float:
-    """phi(x+h1+h2) - phi(x+h1) - phi(x+h2) + phi(x), mod 1 into (-1/2, 1/2].
-
-    All four corners must lie in the support (OutsideSupportError
-    otherwise). The raw value is returned; any major-arc-style
-    smallness classification (q * phi'' small for a small q) is the
-    caller's threshold to choose.
-    """
-    val = (
-        lq.phase_at(x + h1 + h2)
-        - lq.phase_at(x + h1)
-        - lq.phase_at(x + h2)
-        + lq.phase_at(x)
-    )
-    return float(frac_half(val))
 
 
 # points per block of the battery: the kernel's dozen temporaries then stay

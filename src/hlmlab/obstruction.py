@@ -47,6 +47,7 @@ def _dd_sqrt(n: int) -> tuple[float, float]:
 
 SQRT2_HI, SQRT2_LO = _dd_sqrt(2)
 SQRT3_HI, SQRT3_LO = _dd_sqrt(3)
+MIN_CONDITION = 100  # fewest conditioning triples a completion probability needs
 
 @dataclass
 class ObstructionSet:
@@ -94,9 +95,9 @@ def random_control_set(N: int, alpha: float, seed: int = 0) -> ObstructionSet:
                           membership=member, density=float(member.mean()))
 
 
-def linear_bias(obset: ObstructionSet, oversample: int = 4) -> float:
+def linear_bias(obset: ObstructionSet) -> float:
     """sup over the frequency grid of |E f_A(n) e(theta n)|."""
-    return sup_exp_sum(balanced_function(obset.membership), oversample)[1]
+    return sup_exp_sum(balanced_function(obset.membership))[1]
 
 
 def _ap_stats(obset: ObstructionSet, k: int, observed: int) -> dict:
@@ -123,17 +124,17 @@ def _four_ap_counts(m: np.ndarray) -> tuple[int, int]:
     return ap_sum((m,) * 4), ap_sum((m, m, m, np.ones_like(m)))
 
 
-def _completion(completed: int, conditioned: int, min_condition: int = 100) -> float:
-    if conditioned < min_condition:
+def _completion(completed: int, conditioned: int) -> float:
+    if conditioned < MIN_CONDITION:
         raise ValueError(
-            f"only {conditioned} conditioning triples (< {min_condition})"
+            f"only {conditioned} conditioning triples (< {MIN_CONDITION})"
         )
     return completed / conditioned
 
 
-def completion_probability(obset: ObstructionSet, min_condition: int = 100) -> float:
+def completion_probability(obset: ObstructionSet) -> float:
     """Empirical P(x + 3d in A | x, x+d, x+2d in A), over d >= 1."""
-    return _completion(*_four_ap_counts(obset.membership), min_condition)
+    return _completion(*_four_ap_counts(obset.membership))
 
 
 def check_constraint_identity(x_max: int, d_max: int) -> bool:

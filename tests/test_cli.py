@@ -119,6 +119,9 @@ def test_gowers_and_nilseq_subcommands(capsys, tmp_path):
     np.savetxt(path, np.ones(16))
     report = run_json(capsys, "gowers", "--k", "2", "--input", str(path))
     assert report["results"]["value"] == pytest.approx(1.0)
+    np.savetxt(path, np.ones(1))  # one column of one value: refused for its length
+    code, _, err = run_cli(capsys, "gowers", "--k", "2", "--input", str(path))
+    assert code == 2 and "M >= 2" in err
 
     report = run_json(
         capsys, "nilseq", "--alpha-g", "1.41421356", "--gamma-g", "1.7320508",
@@ -246,14 +249,24 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["count", "--system", "1,-2,1,0;0,1,-2,4000000000000000001", "--n", "100"],
         ["singular", "--system", "1,-1,1,1;-3,1,3,1", "--p-max", "1000"],
         ["count", "--system", "1,-1,1,1;-3,1,3,1", "--n", "100"],
+        ["arcs", "--n", "100", "--grid", "0"],
+        ["arcs", "--n", "100", "--grid", "-3"],
+        ["gowers", "--input", "{tmp}/empty.csv"],
+        ["gowers", "--input", "{tmp}/one_value.csv"],
+        ["singular", "--system", "1,-2,1", "--p-max", "-5"],
     ],
     ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
          "expsum-nan-csv", "expsum-theta-inf", "typesums-phase-inf", "arcs-thetas-inf",
          "count-cells-over-cap", "count-samples-over-cap", "count-montecarlo-past-int64",
-         "count-enumeration-past-int64", "singular-non-saturated", "count-non-saturated"],
+         "count-enumeration-past-int64", "singular-non-saturated", "count-non-saturated",
+         "arcs-grid-zero", "arcs-grid-negative", "gowers-empty-input", "gowers-one-value",
+         "singular-p-max-negative"],
 )
 def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
     out_file = tmp_path / "report.out"
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "one_value.csv").write_text("0.5\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
     for out_args in ([], ["--out", str(out_file)]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would print a second line

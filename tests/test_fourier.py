@@ -50,28 +50,6 @@ def assert_same_sup(w, oversample, ties_within_rounding=False):
         assert theta == xi / M2
 
 
-def test_dft_constant_and_delta():
-    coeffs = fourier.dft(np.ones(8))
-    assert abs(coeffs[0] - 1.0) < 1e-12
-    assert np.abs(coeffs[1:]).max() < 1e-12
-    delta = np.zeros(11)
-    delta[0] = 1.0
-    coeffs = fourier.dft(delta)
-    assert np.abs(coeffs - 1 / 11).max() < 1e-12
-
-
-def test_dft_roundtrip_and_parseval(rng):
-    f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    coeffs = fourier.dft(f)
-    # the inverse of the averaged transform
-    assert np.abs(np.fft.ifft(coeffs * coeffs.size) - f).max() < 1e-10
-    parseval_lhs = np.sum(np.abs(coeffs) ** 2)
-    parseval_rhs = np.mean(np.abs(f) ** 2)
-    assert abs(parseval_lhs - parseval_rhs) < 1e-12 * parseval_rhs
-    with pytest.raises(ValueError):
-        fourier.dft([])
-
-
 def test_exp_sum_spot_values(table_1e6):
     lam = table_1e6.vonmangoldt_seq(10**6)
     assert abs(fourier.exp_sum(lam, 0.0) - 1.0) <= 0.01

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -145,6 +145,13 @@ def test_closed_form_constants():
         linsys.closed_form_S3(100)
 
 
+def test_singular_series_refuses_p0_below_2():
+    for P0 in (-5, 0, 1):
+        with pytest.raises(ValueError, match=f"P0 = {P0}"):
+            linsys.singular_series(linsys.AP3, P0)
+    assert list(linsys.singular_series(linsys.AP3, 2).local_factors) == [2]
+
+
 def test_singular_series_ap3_value():
     series = linsys.singular_series(linsys.AP3, 10**6)
     assert abs(series.truncated_product - 1.3203) <= 5e-4
@@ -168,10 +175,66 @@ def test_singular_series_vanishing():
     assert series.local_factors[3] == 0
 
 
-def test_rank_int_exactness():
-    assert linsys.rank_int([[1, -2, 1]]) == 1
-    assert linsys.rank_int([[1, -2, 1], [2, -4, 2]]) == 1
-    assert linsys.rank_int([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 3
+def test_bareiss_rank_exactness():
+    assert linsys._bareiss([[1, -2, 1]])[0] == 1
+    assert linsys._bareiss([[1, -2, 1], [2, -4, 2]])[0] == 1
+    assert linsys._bareiss([[2, 0, 0], [0, 3, 0], [0, 0, 5]])[0] == 3
     # large entries stay exact under fraction-free elimination
     big = [[10**12, 1, 0], [0, 10**12, 1]]
-    assert linsys.rank_int(big) == 2
+    assert linsys._bareiss(big)[0] == 2
+
+
+def leibniz_det(m):
+    """sum over permutations s of sign(s) * prod_i m[i][s(i)], term by term."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def minor_rank(m):
+    """The largest r with a nonzero r x r minor, each minor by leibniz_det."""
+    nr, nc = len(m), len(m[0])
+    for r in range(min(nr, nc), 0, -1):
+        if any(leibniz_det([[m[i][j] for j in cols] for i in rows])
+               for rows in combinations(range(nr), r) for cols in combinations(range(nc), r)):
+            return r
+    return 0
+
+
+def random_int_matrix(rng, nr, nc, case):
+    """Small entries, a zero leading pivot, dependent rows, or entries near 2^62."""
+    if case == "near_2^62":
+        m = [[int(rng.choice([-1, 1])) * (2**62 - int(rng.integers(0, 8))) for _ in range(nc)]
+             for _ in range(nr)]
+    else:
+        m = [[int(v) for v in rng.integers(-4, 5, nc)] for _ in range(nr)]
+    if case == "zero_pivot":
+        for row in m[: nr - 1]:
+            row[0] = 0
+    if case == "singular":
+        m[-1] = [2 * a - 3 * b for a, b in zip(m[0], m[-2])] if nr > 1 else [0] * nc
+    return m
+
+
+def test_bareiss_matches_leibniz_and_minor_rank():
+    assert linsys._bareiss([]) == (0, 1)  # the 0 x 0 matrix
+    rng = np.random.default_rng(31)
+    cases = ("small", "zero_pivot", "singular", "near_2^62")
+    for n in range(1, 5):
+        for case in cases:
+            for _ in range(25):
+                m = random_int_matrix(rng, n, n, case)
+                det = leibniz_det(m)
+                assert linsys._bareiss(m) == (minor_rank(m), det), m
+                if case == "singular":
+                    assert det == 0
+    for nr, nc in ((1, 3), (2, 1), (2, 4), (3, 2), (3, 5), (4, 3)):
+        for case in cases:
+            for _ in range(10):
+                m = random_int_matrix(rng, nr, nc, case)
+                assert linsys._bareiss(m) == (minor_rank(m), 0), m
