@@ -219,8 +219,8 @@ def a10_obstruction_contrast(ctx) -> tuple[bool, dict]:
 
 def a11_mobius_nilsequences(ctx) -> tuple[bool, dict]:
     tab = ctx.table(10**6)
-    small = nilseq.correlation_battery(tab.mobius_seq(10**3), 10**3)
-    big = nilseq.correlation_battery(tab.mobius_seq(10**6), 10**6)
+    small = nilseq.correlation_battery(tab.mobius[1 : 10**3 + 1], 10**3)
+    big = nilseq.correlation_battery(tab.mobius[1 : 10**6 + 1], 10**6)
     ok = True
     measured = {}
     for name in small:

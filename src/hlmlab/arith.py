@@ -16,14 +16,19 @@ Arrays are indexed directly by n (length N+1, slot 0 unused). Sequence
 helpers return length-N views covering n = 1..N for the Fourier and
 correlation routines, which all take "sequences on [1, N]".
 
-Tables are immutable after construction (frozen dataclass over arrays
-nobody mutates) and safe for shared concurrent reads; construction
-itself is single-threaded.
+A table makes each column the first time it is read and keeps it: a
+build sieves is_prime, derives Lambda from it and mu from the primes up to
+sqrt(N); a load reads the column from the file it holds open. A caller
+that never reads a column never allocates it. Columns are never mutated
+once made.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt
+import os
 import struct
+import weakref
 
 import numpy as np
 
@@ -37,21 +42,37 @@ class CapacityError(ValueError):
     """Requested table size exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
 class ArithTable:
-    """Arithmetic-function arrays up to limit N.
+    """Arithmetic-function arrays up to limit N, each made on first read.
 
     Attributes:
         limit: largest n covered
         is_prime: bool array, length N+1, indexed by n
         mobius: int8 array, mu(n) in {-1, 0, 1}
         vonmangoldt: float64 array, Lambda(n)
+
+    A column given to the constructor is used as it is; any other is
+    sieved from limit when first read.
     """
 
-    limit: int
-    is_prime: np.ndarray
-    mobius: np.ndarray
-    vonmangoldt: np.ndarray
+    def __init__(self, limit: int, is_prime=None, mobius=None, vonmangoldt=None):
+        self.limit = limit
+        for name, col in (("is_prime", is_prime), ("mobius", mobius),
+                          ("vonmangoldt", vonmangoldt)):
+            if col is not None:
+                setattr(self, name, col)
+
+    @cached_property
+    def is_prime(self) -> np.ndarray:
+        return prime_sieve(self.limit)
+
+    @cached_property
+    def mobius(self) -> np.ndarray:
+        return _mobius(self.limit)
+
+    @cached_property
+    def vonmangoldt(self) -> np.ndarray:
+        return _vonmangoldt(self.is_prime)
 
     def mobius_seq(self, N: int | None = None) -> np.ndarray:
         """mu(n) for n = 1..N as a length-N float array."""
@@ -107,7 +128,8 @@ def prime_sieve(N: int) -> np.ndarray:
 
 
 def build_table(N: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> ArithTable:
-    """Sieve is_prime, mu and Lambda on [1, N].
+    """The table of is_prime, mu and Lambda on [1, N], sieved column by
+    column as each is first read.
 
     Deterministic: rebuilding yields bit-identical arrays. Linear
     (non-segmented) Eratosthenes; mu by sign-flips over primes and
@@ -117,27 +139,31 @@ def build_table(N: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> ArithTable:
         raise ValueError(f"N must be >= 1, got {N}")
     if N > limit_cap:
         raise CapacityError(f"N={N} exceeds cap {limit_cap}")
+    return ArithTable(N)
 
-    is_prime = prime_sieve(N)
 
-    # mu: sign-flip over primes p <= sqrt(N) while tracking the product of
-    # those primes per n; any n whose product falls short of n has exactly
-    # one prime factor > sqrt(N), contributing one more sign flip.
+def _mobius(N: int) -> np.ndarray:
+    """mu on [0, N]: sign-flip over primes p <= sqrt(N) while tracking the
+    product of those primes per n; any n whose product falls short of n has
+    exactly one prime factor > sqrt(N), contributing one more sign flip."""
     mobius = np.ones(N + 1, dtype=np.int8)
     mobius[0] = 0
     small_prime_prod = np.ones(N + 1, dtype=np.int32)
-    for p in range(2, int(N**0.5) + 1):
-        if is_prime[p]:
-            mobius[p::p] *= -1
-            small_prime_prod[p::p] *= p
-            mobius[p * p :: p * p] = 0
+    for p in np.flatnonzero(prime_sieve(isqrt(N))).tolist():
+        mobius[p::p] *= -1
+        small_prime_prod[p::p] *= p
+        mobius[p * p :: p * p] = 0
     chunk = 1 << 22
     for lo in range(0, N + 1, chunk):
         hi = min(lo + chunk, N + 1)
         rest = small_prime_prod[lo:hi] < np.arange(lo, hi, dtype=np.int32)
         mobius[lo:hi][rest] *= -1
-    del small_prime_prod
+    return mobius
 
+
+def _vonmangoldt(is_prime: np.ndarray) -> np.ndarray:
+    """Lambda on [0, N] from the primality column: log p at each p^k."""
+    N = is_prime.size - 1
     primes = np.nonzero(is_prime)[0]
     vonmangoldt = np.zeros(N + 1, dtype=np.float64)
     logs = np.log(primes.astype(np.float64))
@@ -149,8 +175,7 @@ def build_table(N: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> ArithTable:
         while pk <= N:
             vonmangoldt[pk] = lg
             pk *= p
-
-    return ArithTable(limit=N, is_prime=is_prime, mobius=mobius, vonmangoldt=vonmangoldt)
+    return vonmangoldt
 
 
 def w_trick(table: ArithTable, params: WTrickParams, N: int) -> np.ndarray:
@@ -179,32 +204,72 @@ def dump_table(table: ArithTable, path) -> None:
     """Binary dump: magic "HLM1", N as u64 LE, then the three arrays.
 
     Layout after the 12-byte header: is_prime as u8[N], mobius as i8[N],
-    vonmangoldt as f64-LE[N], each covering n = 1..N.
+    vonmangoldt as f64-LE[N], each covering n = 1..N. Each column's own
+    buffer is written; only a big-endian host converts Lambda.
     """
-    N = table.limit
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<Q", N))
-        fh.write(table.is_prime[1:].astype(np.uint8).tobytes())
-        fh.write(table.mobius[1:].astype(np.int8).tobytes())
-        fh.write(table.vonmangoldt[1:].astype("<f8").tobytes())
+        fh.write(struct.pack("<Q", table.limit))
+        fh.write(np.asarray(table.is_prime[1:], dtype=bool).view(np.uint8))
+        fh.write(np.asarray(table.mobius[1:], dtype=np.int8))
+        fh.write(np.asarray(table.vonmangoldt[1:], dtype="<f8"))
 
 
 def load_table(path) -> ArithTable:
-    """Inverse of dump_table; validates the magic and the payload size."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head != MAGIC:
-            raise ValueError(f"bad magic {head!r}, expected {MAGIC!r}")
-        (N,) = struct.unpack("<Q", fh.read(8))
-        buf = fh.read()
-    expect = N * (1 + 1 + 8)
-    if len(buf) != expect:
-        raise ValueError(f"payload is {len(buf)} bytes, expected {expect}")
-    is_prime = np.zeros(N + 1, dtype=bool)
-    is_prime[1:] = np.frombuffer(buf, dtype=np.uint8, count=N).astype(bool)
-    mobius = np.zeros(N + 1, dtype=np.int8)
-    mobius[1:] = np.frombuffer(buf, dtype=np.int8, count=N, offset=N)
-    vonmangoldt = np.zeros(N + 1, dtype=np.float64)
-    vonmangoldt[1:] = np.frombuffer(buf, dtype="<f8", count=N, offset=2 * N)
-    return ArithTable(limit=int(N), is_prime=is_prime, mobius=mobius, vonmangoldt=vonmangoldt)
+    """Inverse of dump_table; validates the magic and the payload size
+    before any column is allocated, then reads each column from the open
+    file when it is first read."""
+    fh = open(path, "rb", buffering=0)
+    try:
+        head = fh.read(12)
+        if head[:4] != MAGIC:
+            raise ValueError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+        if len(head) < 12:
+            raise ValueError(f"header is {len(head)} bytes, expected 12")
+        (N,) = struct.unpack("<Q", head[4:])
+        size = os.fstat(fh.fileno()).st_size - 12
+        if size != 10 * N:
+            raise ValueError(f"payload is {size} bytes, expected {10 * N}")
+    except BaseException:
+        fh.close()
+        raise
+    return _LoadedTable(int(N), fh)
+
+
+class _LoadedTable(ArithTable):
+    """A table whose columns are read from an HLM1 file. The file stays
+    open (and closes with the table), so each read sees the file that
+    load_table checked, even if its path has since been replaced."""
+
+    def __init__(self, limit: int, fh):
+        super().__init__(limit)
+        self._fh = fh
+        weakref.finalize(self, fh.close)
+
+    def _read(self, index: int, dtype) -> np.ndarray:
+        """Payload column `index` (0, 1 or 2) read straight into its array."""
+        col = np.empty(self.limit + 1, dtype=dtype)
+        col[0] = 0
+        out = col[1:].view(np.uint8)
+        self._fh.seek(12 + index * self.limit)  # the 1-byte columns come first
+        done = 0
+        while done < out.size:
+            got = self._fh.readinto(out[done:])
+            if not got:
+                raise ValueError(f"table file ended {out.size - done} bytes early")
+            done += got
+        return col
+
+    @cached_property
+    def is_prime(self) -> np.ndarray:
+        col = self._read(0, np.uint8)
+        np.minimum(col, 1, out=col)  # any nonzero byte reads as True
+        return col.view(bool)
+
+    @cached_property
+    def mobius(self) -> np.ndarray:
+        return self._read(1, np.int8)
+
+    @cached_property
+    def vonmangoldt(self) -> np.ndarray:
+        return self._read(2, "<f8")

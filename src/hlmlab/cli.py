@@ -105,6 +105,14 @@ def _jsonable(v):
 def _cached_table(N: int) -> arith.ArithTable:
     cache_dir = os.environ.get("HLM_DATA_DIR")
     if cache_dir:
+        # Freeing a large mmapped block raises glibc's mmap and trim
+        # thresholds, so the kernels' per-block temporaries are then reused
+        # from the heap, not faulted in again on every block (mobius-corr at
+        # N = 2e6: 6k page faults against 129k). Nothing this path keeps is
+        # that large and freed, so it frees one untouched block of the
+        # file's size, which costs no memory; glibc ignores a block past
+        # 32 MiB, so the block stops at 31 MiB.
+        np.empty(min(12 + 10 * N, 31 << 20), dtype=np.uint8)
         path = os.path.join(cache_dir, f"table_{N}.bin")
         if os.path.exists(path):
             return arith.load_table(path)
@@ -190,7 +198,10 @@ def cmd_typesums(args) -> int:
         f = np.exp(2j * np.pi * frac01(args.phase * n))
         kind = f"e({args.phase}*n)"
     else:
-        f = _weights(_cached_table(args.n), args.weights, args.n)
+        tab = _cached_table(args.n)
+        # mu stays int8: both sums take it as it is
+        f = (tab.mobius[1 : args.n + 1] if args.weights == "mobius"
+             else tab.vonmangoldt_seq(args.n))
         kind = args.weights
     results = {"f": kind, "type1": fourier.type1_max(f, args.d)}
     if args.w:
@@ -257,11 +268,12 @@ def cmd_gowers(args) -> int:
     if args.input:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data: refused below
-            f = np.loadtxt(args.input, delimiter=",", dtype=np.float64, ndmin=1)
+            f = np.loadtxt(args.input, delimiter=",", dtype=np.float64, ndmin=2)
         if f.size == 0:
             raise ValueError("input CSV holds no values")
-        if f.ndim != 1:
+        if f.shape[1] != 1:
             raise ValueError("input CSV must be a single column")
+        f = f[:, 0]
     elif args.weights:
         f = _weights(_cached_table(args.m), args.weights, args.m)
     else:
@@ -308,20 +320,22 @@ def cmd_nilseq(args) -> int:
 
 
 def _numeric_csv(table: np.ndarray):
-    """Rows (n, *table[n-1]) as the text csv.writer makes of them, 16384
-    rows at a time. Float reprs never need quoting, so a row is its
-    fields' reprs joined by commas and ended by CR LF. Chunks bound the
-    memory the text takes."""
-    line = "%d" + ",%r" * table.shape[1] + "\r\n"
-    chunk = 1 << 14
+    """Rows (n, *table[n-1]) as the text csv.writer makes of them, 4096
+    rows at a time. Float reprs never need quoting and never hold ", ", so
+    one repr of a block's flattened values splits into its fields, and a
+    row is n and its fields joined by commas, ended by CR LF. Blocks bound
+    the memory the text and its fields take."""
+    width = table.shape[1]
+    chunk = 1 << 12
     for start in range(0, len(table), chunk):
-        rows = table[start : start + chunk].tolist()
-        yield "".join([line % (n, *row) for n, row in enumerate(rows, start + 1)])
+        fields = repr(table[start : start + chunk].ravel().tolist())[1:-1].split(", ")
+        yield "".join([f"{n},{','.join(fields[i : i + width])}\r\n"
+                       for n, i in enumerate(range(0, len(fields), width), start + 1)])
 
 
 def cmd_mobius_corr(args) -> int:
     tab = _cached_table(args.n)
-    battery = nilseq.correlation_battery(tab.mobius_seq(args.n), args.n)
+    battery = nilseq.correlation_battery(tab.mobius[1 : args.n + 1], args.n)
     params = {"N": args.n}
     _emit(
         _envelope("mobius-corr", args, params, battery),

@@ -47,6 +47,7 @@ from .linsys import (LinearSystem, _bareiss, ap_system, closed_form_S3, closed_f
                      primitive_system, singular_series)
 
 WORK_CAP = 10**8  # exact cells or Monte Carlo samples in one generic_count
+PREDICTION_P0 = 10**6  # primes p <= P0 in prediction's singular-series products
 _CHUNK = 1 << 20  # cells or samples per vectorized pass
 
 
@@ -568,15 +569,15 @@ def log_weight_sum(N: int, k: int) -> float:
     return ap_sum((_inverse_log(N),) * k)
 
 
-def prediction(k: int, N: int, P0: int = 10**6) -> float:
+def prediction(k: int, N: int) -> float:
     """Hardy-Littlewood main term S_k N^2 / (log N)^k for increasing prime
-    k-APs, k = 3 or 4."""
+    k-APs, k = 3 or 4, with S_k's product truncated at PREDICTION_P0."""
     if N < 100:
         raise ValueError("need N >= 100")
     if k == 3:
-        return closed_form_S3(P0) * N**2 / math.log(N) ** 3
+        return closed_form_S3(PREDICTION_P0) * N**2 / math.log(N) ** 3
     if k == 4:
-        return closed_form_S4(P0) * N**2 / math.log(N) ** 4
+        return closed_form_S4(PREDICTION_P0) * N**2 / math.log(N) ** 4
     raise ValueError("closed-form predictions available for k in {3, 4}")
 
 

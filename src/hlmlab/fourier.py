@@ -178,11 +178,13 @@ def type1_max(f, D: int) -> float:
 def _type2_matvec(fext: np.ndarray, ds: np.ndarray, ws: np.ndarray,
                   v: np.ndarray, conj: bool = False, block: int = 512) -> np.ndarray:
     """(Av)_d = sum_w fext[w*d] v_w, or sum_w conj(fext[w*d]) v_w with conj;
-    rows blocked to bound the gather size."""
+    an index past the end of fext reads its last slot, which is zero. Rows
+    are blocked to bound the gather size."""
     out = np.empty(ds.size, dtype=np.complex128)
     for lo in range(0, ds.size, block):
         hi = min(lo + block, ds.size)
-        rows = fext[np.outer(ds[lo:hi], ws)]
+        idx = np.outer(ds[lo:hi], ws)
+        rows = fext[np.minimum(idx, fext.size - 1, out=idx)]
         out[lo:hi] = (rows.conj() if conj else rows) @ v
     return out
 
@@ -204,8 +206,10 @@ def type2_max(f, D: int, W: int, rtol: float = 1e-6, max_iter: int = 10**4,
         raise ValueError(f"need N^(1/3) <= D <= N^(2/3), got D={D}, N={N}")
     if not lo <= W <= N / D:
         raise ValueError(f"need N^(1/3) <= W <= N/D, got W={W}, D={D}, N={N}")
-    fext = np.zeros(4 * D * W + 1, dtype=np.result_type(fv, np.float64))
-    fext[1 : N + 1] = fv[: min(N, 4 * D * W)]
+    # fext[n] = f(n) for n <= m, and fext[m + 1] = 0 stands for every w*d > N
+    m = min(N, 4 * D * W)
+    fext = np.zeros(m + 2, dtype=np.result_type(fv, np.float64))
+    fext[1 : m + 1] = fv[:m]
     ds = np.arange(D, 2 * D, dtype=np.int64)
     ws = np.arange(W, 2 * W, dtype=np.int64)
 

@@ -290,23 +290,22 @@ def correlation_battery(weights, n_max: int) -> dict:
     correlation-decay checks. Each orbit and test function is evaluated
     only where w(n) != 0 (61% of n for mu at N = 2e6), block by block;
     the sum over that support is divided by n_max, so the mean is the
-    full-length one.
+    full-length one. The weights keep their dtype (mu as int8): each block
+    gathers its own weights and points, so no full-length float copy is made.
     """
-    w = np.asarray(weights, dtype=np.float64)[:n_max]
+    w = np.asarray(weights)[:n_max]
     if w.size != n_max:
         raise ValueError(f"length mismatch: {w.size} weights for n_max = {n_max}")
     _check_n_max(n_max)
     support = np.flatnonzero(w)
-    n = support + 1.0
-    w = w[support]
-    out = {}
-    for name, (F, g) in default_battery().items():
-        total = 0j
-        for i in range(0, n.size, _BLOCK):
-            seq = F.evaluate(*_orbit(g, ORIGIN, n[i : i + _BLOCK]))
-            total += complex(np.sum(w[i : i + _BLOCK] * seq))
-        out[name] = abs(total) / n_max
-    return out
+    battery = default_battery()
+    totals = dict.fromkeys(battery, 0j)
+    for i in range(0, support.size, _BLOCK):
+        idx = support[i : i + _BLOCK]
+        n, wb = idx + 1.0, w[idx]
+        for name, (F, g) in battery.items():
+            totals[name] += complex(np.sum(wb * F.evaluate(*_orbit(g, ORIGIN, n))))
+    return {name: abs(total) / n_max for name, total in totals.items()}
 
 
 def default_battery() -> dict:

@@ -1,4 +1,6 @@
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -161,6 +163,9 @@ def test_dump_load_roundtrip(tmp_path, table_1e4):
     assert np.array_equal(back.is_prime, table_1e4.is_prime)
     assert np.array_equal(back.mobius, table_1e4.mobius)
     assert back.vonmangoldt.tobytes() == table_1e4.vonmangoldt.tobytes()
+    again = tmp_path / "again.bin"
+    arith.dump_table(back, again)
+    assert again.read_bytes() == raw
 
 
 def test_load_rejects_corruption(tmp_path, table_1e4):
@@ -175,3 +180,47 @@ def test_load_rejects_corruption(tmp_path, table_1e4):
     short.write_bytes(bytes(data[:-5]))
     with pytest.raises(ValueError, match="payload"):
         arith.load_table(short)
+    cut = tmp_path / "cut_header.bin"
+    cut.write_bytes(bytes(data[:7]))
+    with pytest.raises(ValueError, match="header"):
+        arith.load_table(cut)
+
+
+def test_columns_are_allocated_only_when_read(tmp_path, traced_peak):
+    N = 10**5
+    path = tmp_path / "table.bin"
+    arith.dump_table(arith.build_table(N), path)
+    assert traced_peak(lambda: arith.build_table(10**6)) < 1 << 16
+    assert traced_peak(lambda: arith.load_table(path)) < 1 << 16
+    tab = arith.load_table(path)
+    # only mu's N + 1 bytes (and no staging copy of the file) for mu alone
+    assert traced_peak(lambda: tab.mobius) <= 1.2 * (N + 1)
+    assert np.array_equal(tab.mobius, arith.build_table(N).mobius)
+
+
+def test_loaded_table_reads_the_file_it_checked(tmp_path, table_1e4):
+    path = tmp_path / "table.bin"
+    arith.dump_table(table_1e4, path)
+    tab = arith.load_table(path)
+    other = tmp_path / "other.bin"
+    arith.dump_table(arith.build_table(10**3), other)
+    os.replace(other, path)  # a later read still sees the checked file
+    assert tab.vonmangoldt.tobytes() == table_1e4.vonmangoldt.tobytes()
+
+
+def test_dump_writes_the_columns_without_copies(tmp_path, table_1e6, traced_peak):
+    # every column is made first, so only the dump itself is traced
+    for col in (table_1e6.is_prime, table_1e6.mobius, table_1e6.vonmangoldt):
+        assert col.size == 10**6 + 1
+    assert traced_peak(lambda: arith.dump_table(table_1e6, tmp_path / "t.bin")) < 1 << 20
+
+
+def test_load_refuses_a_huge_header_before_allocating(tmp_path, traced_peak):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(arith.MAGIC + struct.pack("<Q", 2**40) + bytes(100))
+
+    def load():
+        with pytest.raises(ValueError, match="payload"):
+            arith.load_table(path)
+
+    assert traced_peak(load) < 1 << 20

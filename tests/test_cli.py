@@ -253,6 +253,7 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["arcs", "--n", "100", "--grid", "-3"],
         ["gowers", "--input", "{tmp}/empty.csv"],
         ["gowers", "--input", "{tmp}/one_value.csv"],
+        ["gowers", "--input", "{tmp}/one_row.csv"],
         ["singular", "--system", "1,-2,1", "--p-max", "-5"],
     ],
     ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
@@ -260,12 +261,13 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
          "count-cells-over-cap", "count-samples-over-cap", "count-montecarlo-past-int64",
          "count-enumeration-past-int64", "singular-non-saturated", "count-non-saturated",
          "arcs-grid-zero", "arcs-grid-negative", "gowers-empty-input", "gowers-one-value",
-         "singular-p-max-negative"],
+         "gowers-one-row", "singular-p-max-negative"],
 )
 def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
     out_file = tmp_path / "report.out"
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "one_value.csv").write_text("0.5\n")
+    (tmp_path / "one_row.csv").write_text("0.1,0.2,0.3,0.4\n")
     argv = [a.format(tmp=tmp_path) for a in argv]
     for out_args in ([], ["--out", str(out_file)]):
         with warnings.catch_warnings():

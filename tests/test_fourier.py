@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,16 +152,7 @@ def test_sup_exp_sum_transforms_are_class_length(monkeypatch, rng):
     assert len(lengths) == M2 // L // 2 + 1  # classes 0..R/2
 
 
-def traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_spectral_kernels_stay_within_a_multiple_of_their_input(rng):
+def test_spectral_kernels_stay_within_a_multiple_of_their_input(rng, traced_peak):
     # at this N the full-length kernels (one rfft of M2, one complex
     # temporary per stage, complex copies of real input) peak at about
     # 17.5x, 6.0x and 7.7x the input's bytes; these kernels at about 5.3x
@@ -259,6 +249,20 @@ def test_type_sums_of_real_input_equal_those_of_its_complex_cast(rng):
     for f in (rng.standard_normal(N), lam, rng.choice([-1.0, 0.0, 1.0], N)):
         assert fourier.type1_max(f, 300) == fourier.type1_max(f.astype(complex), 300)
         assert fourier.type2_max(f, 300, 300) == fourier.type2_max(f.astype(complex), 300, 300)
+
+
+def test_type_sums_of_int8_input_equal_those_of_float64():
+    # mu-like int8 input, with 4DW below N and (the zero slot for w*d > N) above it
+    N = 10**4
+    f = np.random.default_rng(5).choice(np.array([-1, 0, 1], dtype=np.int8), N)
+    fe = np.zeros(4 * 60 * 100 + 1)
+    fe[1 : N + 1] = f
+    for D, W in ((25, 25), (60, 100)):
+        assert fourier.type1_max(f, D) == fourier.type1_max(f.astype(np.float64), D)
+        value = fourier.type2_max(f, D, W)
+        assert value == fourier.type2_max(f.astype(np.float64), D, W)
+        matrix = fe[np.outer(np.arange(D, 2 * D), np.arange(W, 2 * W))]
+        assert value == pytest.approx(np.linalg.svd(matrix, compute_uv=False)[0], rel=1e-5)
 
 
 def test_type2_of_complex_input_against_svd_oracle():

@@ -217,21 +217,30 @@ def test_mobius_battery_decay(table_1e6):
         assert big[name] < 0.05
 
 
+def test_battery_of_int8_weights_equals_float64(table_1e6):
+    # mu keeps its int8 dtype; 10^5 points hold four blocks of mu's support
+    mu = table_1e6.mobius[1 : 10**5 + 1]
+    assert nilseq.correlation_battery(mu, 10**5) == nilseq.correlation_battery(
+        mu.astype(np.float64), 10**5)
+
+
 def test_orbit_csv_export(tmp_path):
-    # the CLI file is byte-for-byte what csv.writer makes of the orbit values
+    # the CLI file is byte-for-byte what csv.writer makes of the orbit values,
+    # within one block of rows and across several
     a, b, c = math.sqrt(2), 0.1, math.sqrt(3)
     path = tmp_path / "orbit.csv"
-    assert cli.main(["nilseq", "--alpha-g", repr(a), "--beta-g", repr(b),
-                     "--gamma-g", repr(c), "--n", "50", "--format", "csv",
-                     "--out", str(path)]) == 0
-    orbit = nilseq.orbit_array(HeisenbergElement(a, b, c), ORIGIN, 50)
-    vals = nilseq.TestFunction.vertical_character(1).evaluate(*orbit.T)
-    expect = io.StringIO(newline="")
-    wr = csv.writer(expect)
-    wr.writerow(["n", "x", "y", "z", "re_F", "im_F"])
-    for i in range(50):
-        wr.writerow([i + 1, orbit[i, 0], orbit[i, 1], orbit[i, 2], vals[i].real, vals[i].imag])
-    assert path.read_bytes() == expect.getvalue().encode()
+    for n_max in (50, 10_000):
+        assert cli.main(["nilseq", "--alpha-g", repr(a), "--beta-g", repr(b),
+                         "--gamma-g", repr(c), "--n", str(n_max), "--format", "csv",
+                         "--out", str(path)]) == 0
+        orbit = nilseq.orbit_array(HeisenbergElement(a, b, c), ORIGIN, n_max)
+        vals = nilseq.TestFunction.vertical_character(1).evaluate(*orbit.T)
+        expect = io.StringIO(newline="")
+        wr = csv.writer(expect)
+        wr.writerow(["n", "x", "y", "z", "re_F", "im_F"])
+        for i in range(n_max):
+            wr.writerow([i + 1, orbit[i, 0], orbit[i, 1], orbit[i, 2], vals[i].real, vals[i].imag])
+        assert path.read_bytes() == expect.getvalue().encode()
 
 
 @pytest.mark.parametrize("n_max", [10**8, 94_906_267])
