@@ -15,7 +15,7 @@ from hlmlab import arith, fourier
 
 N = 10**6
 table = arith.build_table(N)
-lam = table.vonmangoldt_seq(N)
+lam = table.vonmangoldt[1 : N + 1]
 
 print("Spot values of S(theta) at N = 1e6:")
 for theta, label, expect in [
@@ -35,7 +35,7 @@ for theta in (1 / 3, 1 / 3 + 1e-9, math.sqrt(2) - 1, 0.5):
 
 print("\nDavenport decay of sup |M(theta)| on the 4x oversampled grid:")
 for n in (10**4, 10**5, 10**6):
-    theta_star, value = fourier.sup_exp_sum(table.mobius_seq(n))
+    theta_star, value = fourier.sup_exp_sum(table.mobius[1 : n + 1])
     print(f"  N = {n:>7}: sup = {value:.5f} at theta = {theta_star:.6f}")
 
 print("\nType I/II cancellation for the minor-arc phase e(n sqrt 2), N = 1e4:")

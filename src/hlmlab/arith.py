@@ -1,7 +1,7 @@
 """Sieved arithmetic-function tables: primality, Mobius mu, von Mangoldt Lambda.
 
 Provides:
-- ArithTable: is_prime / mu / Lambda on [1, N], built by a linear sieve
+- ArithTable: is_prime / mu / Lambda on [1, N], built by an Eratosthenes sieve
 - prime_sieve: the primality sieve alone, shared with the singular series
 - W-trick reweighting  Lambda_{b,W}(n) = (phi(W)/W) * Lambda(W*n + b)
 - balanced function of a set, 1_A - |A|/N
@@ -12,9 +12,9 @@ Conventions:
     Lambda(n) = log p if n = p^k, else 0; Lambda(p^k) is the *same float*
     as Lambda(p), so prime-power equality checks are exact.
 
-Arrays are indexed directly by n (length N+1, slot 0 unused). Sequence
-helpers return length-N views covering n = 1..N for the Fourier and
-correlation routines, which all take "sequences on [1, N]".
+Arrays are indexed directly by n (length N+1, slot 0 unused); the
+Fourier and correlation routines take "sequences on [1, N]", the slice
+column[1 : N + 1] in the column's own dtype.
 
 A table makes each column the first time it is read and keeps it: a
 build sieves is_prime, derives Lambda from it and mu from the primes up to
@@ -34,12 +34,12 @@ import numpy as np
 
 MAGIC = b"HLM1"
 
-# Default memory cap: N <= 10^8 keeps the three arrays near 1 GB.
+# Memory cap: N <= 10^8 keeps the three arrays near 1 GB.
 DEFAULT_LIMIT_CAP = 10**8
 
 
 class CapacityError(ValueError):
-    """Requested table size exceeds the configured cap."""
+    """Requested table size exceeds DEFAULT_LIMIT_CAP."""
 
 
 class ArithTable:
@@ -73,16 +73,6 @@ class ArithTable:
     @cached_property
     def vonmangoldt(self) -> np.ndarray:
         return _vonmangoldt(self.is_prime)
-
-    def mobius_seq(self, N: int | None = None) -> np.ndarray:
-        """mu(n) for n = 1..N as a length-N float array."""
-        N = self.limit if N is None else N
-        return self.mobius[1 : N + 1].astype(np.float64)
-
-    def vonmangoldt_seq(self, N: int | None = None) -> np.ndarray:
-        """Lambda(n) for n = 1..N as a length-N array."""
-        N = self.limit if N is None else N
-        return self.vonmangoldt[1 : N + 1]
 
 
 @dataclass(frozen=True)
@@ -127,18 +117,18 @@ def prime_sieve(N: int) -> np.ndarray:
     return is_prime
 
 
-def build_table(N: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> ArithTable:
+def build_table(N: int) -> ArithTable:
     """The table of is_prime, mu and Lambda on [1, N], sieved column by
     column as each is first read.
 
-    Deterministic: rebuilding yields bit-identical arrays. Linear
+    Deterministic: rebuilding yields bit-identical arrays. Whole-array
     (non-segmented) Eratosthenes; mu by sign-flips over primes and
     zeroing over squares; Lambda written only at prime powers.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if N > limit_cap:
-        raise CapacityError(f"N={N} exceeds cap {limit_cap}")
+    if N > DEFAULT_LIMIT_CAP:
+        raise CapacityError(f"N={N} exceeds cap {DEFAULT_LIMIT_CAP}")
     return ArithTable(N)
 
 
@@ -194,10 +184,10 @@ def balanced_function(indicator) -> np.ndarray:
 
     alpha = |A|/N; the output sums to zero up to rounding.
     """
-    ind = np.asarray(indicator, dtype=np.float64)
-    if ind.size == 0:
+    indicator = np.asarray(indicator)
+    if indicator.size == 0:
         raise ValueError("empty indicator sequence")
-    return ind - ind.mean()
+    return indicator - indicator.mean()
 
 
 def dump_table(table: ArithTable, path) -> None:

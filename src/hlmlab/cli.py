@@ -131,11 +131,9 @@ def _cached_table(N: int) -> arith.ArithTable:
 
 
 def _weights(tab: arith.ArithTable, name: str, N: int) -> np.ndarray:
-    if name == "lambda":
-        return tab.vonmangoldt_seq(N)
-    if name == "mobius":
-        return tab.mobius_seq(N)
-    raise ValueError(f"unknown weights {name!r}")
+    """The named column on [1, N] as the table stores it (mu stays int8);
+    only that column is read."""
+    return getattr(tab, {"lambda": "vonmangoldt", "mobius": "mobius"}[name])[1 : N + 1]
 
 
 def cmd_sieve(args) -> int:
@@ -198,10 +196,7 @@ def cmd_typesums(args) -> int:
         f = np.exp(2j * np.pi * frac01(args.phase * n))
         kind = f"e({args.phase}*n)"
     else:
-        tab = _cached_table(args.n)
-        # mu stays int8: both sums take it as it is
-        f = (tab.mobius[1 : args.n + 1] if args.weights == "mobius"
-             else tab.vonmangoldt_seq(args.n))
+        f = _weights(_cached_table(args.n), args.weights, args.n)
         kind = args.weights
     results = {"f": kind, "type1": fourier.type1_max(f, args.d)}
     if args.w:

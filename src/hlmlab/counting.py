@@ -329,7 +329,9 @@ def count_ap_primes(table: ArithTable, N: int, k: int) -> int:
         raise ValueError("need k >= 3")
     if N > table.limit:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
-    isp = table.is_prime[1 : max(N, 0) + 1]
+    if k > N:
+        return 0  # no k distinct terms fit in [1, N]
+    isp = table.is_prime[1 : N + 1]
     if k == 3:
         return ap_sum((isp,) * 3)
     # A prime k-AP with k >= 4 has 6 | d (and p1 >= 5): an odd d makes p2 or

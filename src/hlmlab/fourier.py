@@ -21,6 +21,10 @@ coefficients collapses to an l2 norm of inner sums (Cauchy-Schwarz with
 equality); the Type II maximum is the top singular value of the matrix
 f(w*d), computed by power iteration. Both keep real input real: a real
 sequence and its complex cast give the same values bit for bit.
+
+Every kernel reads its sequence in the dtype it is given (a table column
+is bool, int8 or float64) and widens it one block or one fold at a time,
+so an int8 input gives the values of its float64 cast bit for bit.
 """
 
 from dataclasses import asdict, dataclass
@@ -58,7 +62,7 @@ def exp_sum(weights, theta: float) -> complex:
     weights[i] is the weight at n = i+1. The phase theta*n is reduced
     mod 1 before exponentiation to keep the argument small.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights)
     N = w.size
     if N < 1:
         raise ValueError("need N >= 1")
@@ -87,11 +91,14 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     Real input has |F(M2 - xi)| = |F(xi)|, so the classes r <= R/2 cover
     the grid an rfft of length M2 would read; class 0 is an rfft, and it
     is the only class when M2 <= 2^18. L = min(M2, max(2^18, M2/32)), so
-    there are at most 32 classes and the extra memory is O(L).
+    there are at most 32 classes and the extra memory is O(L). Complex
+    weights, which have no such mirror, are refused.
     """
     if oversample < 4:
         raise ValueError("oversample must be >= 4")
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights)
+    if np.iscomplexobj(w):
+        raise ValueError("sup_exp_sum needs real weights: it reads classes past R/2 as mirrors")
     N = w.size
     if N < 1:
         raise ValueError("need N >= 1")
@@ -208,7 +215,7 @@ def type2_max(f, D: int, W: int, rtol: float = 1e-6, max_iter: int = 10**4,
         raise ValueError(f"need N^(1/3) <= W <= N/D, got W={W}, D={D}, N={N}")
     # fext[n] = f(n) for n <= m, and fext[m + 1] = 0 stands for every w*d > N
     m = min(N, 4 * D * W)
-    fext = np.zeros(m + 2, dtype=np.result_type(fv, np.float64))
+    fext = np.zeros(m + 2, dtype=fv.dtype)
     fext[1 : m + 1] = fv[:m]
     ds = np.arange(D, 2 * D, dtype=np.int64)
     ws = np.arange(W, 2 * W, dtype=np.int64)

@@ -108,7 +108,7 @@ def _ap_stats(obset: ObstructionSet, k: int, observed: int) -> dict:
         "N": obset.N,
         "observed": observed,
         "predicted": predicted,
-        "ratio": observed / predicted if predicted > 0 else math.inf,
+        "ratio": observed / predicted if predicted > 0 else None,
     }
 
 

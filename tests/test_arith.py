@@ -98,9 +98,11 @@ def test_rebuild_is_bit_identical(table_1e4):
     assert table_1e4.vonmangoldt.tobytes() == again.vonmangoldt.tobytes()
 
 
-def test_capacity_cap():
-    with pytest.raises(arith.CapacityError):
-        arith.build_table(10**6, limit_cap=10**5)
+def test_capacity_cap(traced_peak):
+    def refuse():
+        with pytest.raises(arith.CapacityError):
+            arith.build_table(arith.DEFAULT_LIMIT_CAP + 1)
+    assert traced_peak(refuse) < 1 << 16  # refused before any column is made
     with pytest.raises(ValueError):
         arith.build_table(0)
 

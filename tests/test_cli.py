@@ -163,6 +163,16 @@ def test_obstruction_subcommand(capsys, tmp_path):
     assert bits.stat().st_size == 625
 
 
+def test_obstruction_with_no_members(capsys):
+    # alpha = 1e-9 leaves A1 empty at this N: predicted counts are 0, so the
+    # ratios are null, as is a completion probability with no triples
+    results = run_json(capsys, "obstruction", "--kind", "A1", "--n", "1000",
+                       "--alpha", "1e-9")["results"]
+    assert (results["density"], results["ap3"], results["ap4"]) == (0.0, 0, 0)
+    assert results["ratios"] == {"ap3": None, "ap4": None}
+    assert results["completion_prob"] is None
+
+
 def test_obstruction_exports(capsys, tmp_path):
     csv_path, bit_path = tmp_path / "members.csv", tmp_path / "members.bits"
     run_json(

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -308,16 +307,7 @@ def test_weighted_classes_mod_6_match_the_parity_route(table_1e6, monkeypatch):
     assert [c.args[0].size for c in parity.call_args_list] == [N]
 
 
-def traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_ap3_stays_within_a_multiple_of_its_input(table_1e6):
+def test_ap3_stays_within_a_multiple_of_its_input(table_1e6, traced_peak):
     # at this N the parity route peaks at about 2.0x (Lambda) and 40x (the
     # prime indicator, whose spectra take 16 B per input byte) the input's
     # bytes; the classes mod 6 at about 0.67x and 7.0x. The weighted
@@ -335,6 +325,14 @@ def test_count_ap_primes_frozen_examples(table_1e4):
     assert counting.count_ap_primes(table_1e4, 10, 3) == 1
     assert counting.count_ap_primes(table_1e4, 23, 4) == 1
     assert counting.count_ap_primes(table_1e4, 20, 4) == 0
+
+
+def test_count_ap_primes_with_k_past_n_forms_no_progression(table_1e4):
+    # no 10^6-term AP fits in [1, 100]: the count is 0 before any k-tuple of
+    # columns is formed
+    with mock.patch.object(counting, "ap_sum", side_effect=AssertionError("ap_sum called")):
+        assert counting.count_ap_primes(table_1e4, 100, 10**6) == 0
+        assert counting.ap_count_report(table_1e4, 100, 10**6).observed == 0.0
 
 
 def test_count_ap_primes_matches_oracle(table_1e4):

@@ -50,14 +50,14 @@ def assert_same_sup(w, oversample, ties_within_rounding=False):
 
 
 def test_exp_sum_spot_values(table_1e6):
-    lam = table_1e6.vonmangoldt_seq(10**6)
+    lam = table_1e6.vonmangoldt[1 : 10**6 + 1]
     assert abs(fourier.exp_sum(lam, 0.0) - 1.0) <= 0.01
     assert abs(fourier.exp_sum(lam, 0.5) + 1.0) <= 0.01
     assert abs(fourier.exp_sum(lam, 1 / 3) + 0.5) <= 0.02
 
 
 def test_exp_sum_mobius_small(table_1e4):
-    val = fourier.exp_sum(table_1e4.mobius_seq(10), 0.0)
+    val = fourier.exp_sum(table_1e4.mobius[1:11], 0.0)
     assert val == pytest.approx(-0.1, abs=1e-15)
 
 
@@ -83,19 +83,25 @@ def test_sup_exp_sum_parity_character():
 
 
 def test_sup_exp_sum_davenport_decay(table_1e6):
-    v4 = fourier.sup_exp_sum(table_1e6.mobius_seq(10**4))[1]
-    v6 = fourier.sup_exp_sum(table_1e6.mobius_seq(10**6))[1]
+    v4 = fourier.sup_exp_sum(table_1e6.mobius[1 : 10**4 + 1])[1]
+    v6 = fourier.sup_exp_sum(table_1e6.mobius[1 : 10**6 + 1])[1]
     assert v6 < v4
 
 
 def test_sup_exp_sum_grid_adequacy(table_1e6):
     for N in (10**4, 10**5):
-        w = table_1e6.mobius_seq(N)
+        w = table_1e6.mobius[1 : N + 1]
         a = fourier.sup_exp_sum(w, 4)[1]
         b = fourier.sup_exp_sum(w, 8)[1]
         assert abs(a - b) <= 0.02 * max(a, b)
     with pytest.raises(ValueError):
         fourier.sup_exp_sum(np.ones(10), oversample=2)
+
+
+def test_sup_exp_sum_refuses_complex_input():
+    # its classes past R/2 are read as mirrors, which holds for real weights only
+    with pytest.raises(ValueError, match="real"):
+        fourier.sup_exp_sum(np.exp(2j * np.pi * np.arange(100) / 7))
 
 
 def test_sup_exp_sum_refuses_empty_input_like_exp_sum():
@@ -162,6 +168,14 @@ def test_spectral_kernels_stay_within_a_multiple_of_their_input(rng, traced_peak
     assert traced_peak(lambda: fourier.sup_exp_sum(w)) <= 6 * w.nbytes
     assert traced_peak(lambda: fourier.exp_sum(w, 0.3)) <= 2 * w.nbytes
     assert traced_peak(lambda: fourier.type2_max(w, 300, 300)) <= 3 * w.nbytes
+    # mu-like int8 input is read as it is: a float64 copy of it would add 8
+    # bytes per element to the peak, so the second half of the input may add
+    # at most 2 (with a copy it adds about 0.5 x 8N; read as stored, 0.06 x 8N)
+    mu = rng.choice(np.array([-1, 0, 1], dtype=np.int8), N)
+    for kernel in (fourier.sup_exp_sum, lambda f: fourier.exp_sum(f, 0.3),
+                   lambda f: fourier.type2_max(f, 300, 300)):
+        half = traced_peak(lambda: kernel(mu[: N // 2]))
+        assert traced_peak(lambda: kernel(mu)) - half <= 2 * (N - N // 2)
 
 
 def test_classify_arc_examples():
@@ -263,6 +277,13 @@ def test_type_sums_of_int8_input_equal_those_of_float64():
         assert value == fourier.type2_max(f.astype(np.float64), D, W)
         matrix = fe[np.outer(np.arange(D, 2 * D), np.arange(W, 2 * W))]
         assert value == pytest.approx(np.linalg.svd(matrix, compute_uv=False)[0], rel=1e-5)
+    # and the exponential sums; 10^5 terms span two exp_sum blocks and two
+    # sup_exp_sum classes
+    g = np.random.default_rng(6).choice(np.array([-1, 0, 1], dtype=np.int8), 10**5)
+    for w in (f, g):
+        for theta in (0.0, 0.3, math.sqrt(2) - 1):
+            assert fourier.exp_sum(w, theta) == fourier.exp_sum(w.astype(np.float64), theta)
+        assert fourier.sup_exp_sum(w) == fourier.sup_exp_sum(w.astype(np.float64))
 
 
 def test_type2_of_complex_input_against_svd_oracle():

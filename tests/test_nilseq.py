@@ -196,7 +196,7 @@ def test_gen_quadratic_validation():
 
 
 def test_davenport_direction_battery(table_1e6):
-    mu = table_1e6.mobius_seq(10**6)
+    mu = table_1e6.mobius[1 : 10**6 + 1]
     n = np.arange(1, 10**6 + 1)
     thetas = [1 / 3, 2 / 5, 1 / 7, 3 / 8, 5 / 11, 1 / 2, 1 / 6, 7 / 9, 2 / 11, 9 / 13,
               math.sqrt(2) - 1, (math.sqrt(5) - 1) / 2, 1 / math.pi, 1 / math.e,
@@ -209,8 +209,8 @@ def test_davenport_direction_battery(table_1e6):
 
 
 def test_mobius_battery_decay(table_1e6):
-    small = nilseq.correlation_battery(table_1e6.mobius_seq(10**3), 10**3)
-    big = nilseq.correlation_battery(table_1e6.mobius_seq(10**6), 10**6)
+    small = nilseq.correlation_battery(table_1e6.mobius[1 : 10**3 + 1], 10**3)
+    big = nilseq.correlation_battery(table_1e6.mobius[1 : 10**6 + 1], 10**6)
     assert set(small) == set(big) and len(small) == 5
     for name in small:
         assert big[name] <= 0.5 * small[name], name
@@ -259,7 +259,7 @@ def test_orbit_array_refuses_inexact_length_before_allocating(n_max):
 
 def test_battery_on_support_matches_full_length(table_1e6, rng):
     N = 10**5  # both supports span several evaluation blocks
-    mu = table_1e6.mobius_seq(N).astype(np.float64)
+    mu = table_1e6.mobius[1 : N + 1].astype(np.float64)
     sparse = rng.uniform(-1.0, 1.0, N) * (rng.uniform(size=N) < 0.5)
     for w in (mu, sparse):
         assert (w == 0).any()
