@@ -3,7 +3,13 @@
 Provides:
 - ArithTable: is_prime / mu / Lambda on [1, N], built by an Eratosthenes sieve
 - prime_sieve: the primality sieve alone, shared with the singular series
-- W-trick reweighting  Lambda_{b,W}(n) = (phi(W)/W) * Lambda(W*n + b)
+- vonmangoldt_progression: the one Lambda builder, Lambda on a progression
+  n = b (mod W) read off is_prime. The table's column is its W = 1 case,
+  the class arrays 1 and 5 mod 6 its W = 6 case, and the W-trick
+  reweighting Lambda_{b,W}(n) = (phi(W)/W) * Lambda(W*n + b) its scaled case
+- vonmangoldt_classes: Lambda on [1, N] as the W-trick with W = 6 reads
+  it, the classes 1 and 5 mod 6 and the powers of 2 and 3; the
+  Lambda-weighted AP averages read it in place of the column
 - balanced function of a set, 1_A - |A|/N
 - binary dump/load of tables (magic "HLM1", little-endian)
 
@@ -72,7 +78,7 @@ class ArithTable:
 
     @cached_property
     def vonmangoldt(self) -> np.ndarray:
-        return _vonmangoldt(self.is_prime)
+        return vonmangoldt_progression(self.is_prime, 0, 1, self.limit)
 
 
 @dataclass(frozen=True)
@@ -151,21 +157,57 @@ def _mobius(N: int) -> np.ndarray:
     return mobius
 
 
-def _vonmangoldt(is_prime: np.ndarray) -> np.ndarray:
-    """Lambda on [0, N] from the primality column: log p at each p^k."""
-    N = is_prime.size - 1
-    primes = np.nonzero(is_prime)[0]
-    vonmangoldt = np.zeros(N + 1, dtype=np.float64)
+def vonmangoldt_progression(is_prime, b: int, W: int, N: int) -> np.ndarray:
+    """Lambda(b + W m) for m = 0, 1, ... while b + W m <= N: Lambda on the
+    progression n = b (mod W) from b, read off the primality column
+    (indexed by n, covering [0, N]).
+
+    It holds log p at the primes p of the progression and the same float
+    at each p^j (j >= 2) that falls in it. W = 1, b = 0 is the table's
+    column on [0, N]; W = 6, b = 1 or 5 the class arrays of the W-trick.
+    """
+    out = np.zeros(max((N - b) // W + 1, 0), dtype=np.float64)
+    m = np.flatnonzero(is_prime[b : N + 1 : W])
+    logn = m.astype(np.float64)  # b + W m, exact below 2^53
+    logn *= W
+    logn += b
+    out[m] = np.log(logn, out=logn)
+    small = np.flatnonzero(is_prime[: isqrt(max(N, 0)) + 1])
+    pk, logs = _prime_powers(small, N, 2)
+    hit = (pk >= b) & ((pk - b) % W == 0)
+    out[(pk[hit] - b) // W] = logs[hit]
+    return out
+
+
+def vonmangoldt_classes(is_prime, N: int):
+    """Lambda on [1, N] as the W-trick with W = 6 reads it, from the
+    primality column (indexed by n, covering [0, N]).
+
+    Returns ((Lambda(1 + 6m), Lambda(5 + 6m)) for m = 0, 1, ..., R, values):
+    the class arrays 1 and 5 mod 6, and Lambda at the n <= N with
+    gcd(n, 6) > 1 where it is nonzero, the powers of 2 and 3, ascending.
+    Every value is the float the table's column holds at that n.
+    """
+    classes = tuple(vonmangoldt_progression(is_prime, b, 6, N) for b in (1, 5))
+    ps = np.array([p for p in (2, 3) if p <= N and is_prime[p]], dtype=np.int64)
+    R, values = _prime_powers(ps, N, 1)
+    order = np.argsort(R)
+    return classes, R[order], values[order]
+
+
+def _prime_powers(primes: np.ndarray, N: int, first: int):
+    """(p^j, log p) for each p in primes and j >= first with p^j <= N; log p
+    is the float the table's column holds at p."""
     logs = np.log(primes.astype(np.float64))
-    vonmangoldt[primes] = logs
-    for p, lg in zip(primes, logs):
-        pk = p * p
-        if pk > N:
-            break
-        while pk <= N:
-            vonmangoldt[pk] = lg
-            pk *= p
-    return vonmangoldt
+    pk = primes ** first
+    powers, values = [pk[:0]], [logs[:0]]
+    while pk.size:
+        keep = pk <= N
+        pk, primes, logs = pk[keep], primes[keep], logs[keep]
+        powers.append(pk)
+        values.append(logs)
+        pk = pk * primes
+    return np.concatenate(powers), np.concatenate(values)
 
 
 def w_trick(table: ArithTable, params: WTrickParams, N: int) -> np.ndarray:
@@ -175,8 +217,8 @@ def w_trick(table: ArithTable, params: WTrickParams, N: int) -> np.ndarray:
         raise ValueError(
             f"table limit {table.limit} < W*N+b = {need}; rebuild with a larger N"
         )
-    idx = params.W * np.arange(1, N + 1, dtype=np.int64) + params.b
-    return params.scale * table.vonmangoldt[idx]
+    return params.scale * vonmangoldt_progression(table.is_prime, params.W + params.b,
+                                                  params.W, need)
 
 
 def balanced_function(indicator) -> np.ndarray:

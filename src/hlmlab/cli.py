@@ -16,7 +16,8 @@ HLM_DATA_DIR, when set, caches sieve tables as table_<N>.bin.
 
 Exit codes: 0 success, 1 usage error or unreadable/unwritable file,
 2 validation error (degenerate system, bad parameter, work past a cap,
-a non-finite number in the report), 3 acceptance-suite failure.
+a non-finite number in the report, an allocation that failed),
+3 acceptance-suite failure.
 """
 
 import argparse
@@ -532,6 +533,10 @@ def main(argv=None) -> int:
     except (ValueError, arith.CapacityError, counting.FreeRankTooLarge,
             linsys.EnumerationTooLarge) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's "Unable to allocate ..." among them
+        detail = f": {exc}" if str(exc) else ""
+        print(f"validation error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

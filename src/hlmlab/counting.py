@@ -4,20 +4,28 @@ Two kernels carry every count. equation_sum sums prod_i f_i(x_i) over
 x_i in [1, N_i] on one equation sum_i a_i x_i = 0, as one FFT product of
 the dilated sequences at a 5-smooth length (the circle-method identity
 on a long enough cyclic group). ap_sum sums prod_j f_j(x + j d) over x
-and d >= 1 for k sequences on [1, N]. For k = 3 with f_1 = f_3 it uses
-the W-trick with W = 6 when f_1 and f_2 are nonzero at few n with
-gcd(n, 6) > 1, as Lambda and the prime indicator are: x, y, z prime to
-6 lie in one class 1 or 5 mod 6, each class is the parity split below
-on an array about N/6 long, and every other progression is walked from
-that sparse support. Otherwise it splits x + z = 2y by the parity of x
-and z (W = 2): each class is equation_sum on (-1, 1, 1), a
-self-convolution of f_1 on the class, about N long. For k >= 4 it walks
-d, from the support of f_1 when a real f_1 has fewer nonzeros than there
-are d-steps and with whole-array products otherwise.
+and d >= 1 for k sequences on [1, N].
+
+Every prime progression sum, counted or Lambda-weighted and of any k,
+takes one route: the W-trick with W = 6. Each sequence is read as its
+view, the class arrays 1 and 5 mod 6 plus its values on the sparse set
+R of n with gcd(n, 6) > 1 where it is nonzero (2 and 3 for the prime
+indicator, the powers of 2 and 3 for Lambda). A progression with every
+term prime to 6 has 6 | d and lies in one class, where it is summed on
+arrays about N/6 long; every other progression is walked from R, keyed
+on its first term there. ap_sum builds the views from full-length
+sequences when each R is sparse; weighted_ap_average takes Lambda's
+straight from the sieve (arith.vonmangoldt_classes). Dense input, such
+as the obstruction sets and the log weights, keeps the whole-array
+routes: for k = 3 with f_1 = f_3, x + z = 2y split by the parity of x
+and z (W = 2), each class one equation_sum on (-1, 1, 1), about N long;
+otherwise a walk over d, from the support of f_1 when a real f_1 has
+fewer nonzeros than there are d-steps and with whole-array products
+otherwise. The class parts take these same routes on the class arrays.
 
   * count_ap_primes: exact number of p_1 < ... < p_k <= N in arithmetic
     progression (genuine primes, strictly increasing), ap_sum of the
-    prime indicator (for k >= 4, of its classes 1 and 5 mod 6).
+    prime indicator.
   * weighted_ap_average: E of Lambda(x_1)...Lambda(x_k) over the integer
     solutions of the AP system in [1, N]^k — all solutions, any sign of
     d including d = 0 (that is the normalization of the expectation:
@@ -39,10 +47,11 @@ and the weighted average tends to the full product of local factors.
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import ArithTable, CapacityError
+from .arith import ArithTable, CapacityError, vonmangoldt_classes
 from .linsys import (LinearSystem, _bareiss, ap_system, closed_form_S3, closed_form_S4,
                      primitive_system, singular_series)
 
@@ -176,16 +185,16 @@ def ap_sum(fs):
 
     fs holds k >= 3 sequences on [1, N], all of length N; x runs over the
     progressions that lie inside [1, N]. All-bool inputs give an exact
-    int, any other real inputs a float. For k = 3 and fs[0] equal to
-    fs[2] the progressions are split by the classes of their terms mod 6
-    (W = 6) when fs[0] and fs[1] are nonzero at few n with gcd(n, 6) > 1:
-    those all prime to 6 lie in class 1 or 5, each summed on its class
-    arrays by the parity split, and the rest are walked from that sparse
-    support. Otherwise x and z are split by parity (W = 2), with every
-    transform about N long. In the remaining cases a non-bool input
-    whose fs[0] has fewer nonzeros on its anchor range than there are
-    d-steps is summed from that support, one strided product per anchor;
-    every other case walks d with whole-array products.
+    int, any other real inputs a float. When every sequence is nonzero at
+    few n with gcd(n, 6) > 1, as Lambda and the prime indicator are, the
+    sum is split by the W-trick with W = 6 (_class_split): each sequence
+    is read as its class arrays 1 and 5 mod 6 and its values on that
+    sparse off-class support R. Otherwise, and on each class part, k = 3
+    with fs[0] equal to fs[2] splits x and z by parity (W = 2), every
+    transform about as long as its input; a non-bool input whose fs[0]
+    has fewer nonzeros on its anchor range than there are d-steps is
+    summed from that support, one strided product per anchor; every
+    other case walks d with whole-array products.
     """
     fs = [np.asarray(f) for f in fs]
     k = len(fs)
@@ -195,79 +204,152 @@ def ap_sum(fs):
     if any(f.ndim != 1 or f.size != N for f in fs):
         raise ValueError("sequences must be 1-D and of one length")
     exact = all(f.dtype == bool for f in fs)
-    if k == 3 and (fs[0] is fs[2] or np.array_equal(fs[0], fs[2])):
-        return _ap3_sum(fs[0], fs[1], exact)
-    steps = range(1, (N - 1) // (k - 1) + 1)
-    if not exact:
-        anchors = np.flatnonzero(fs[0][: max(N - k + 1, 0)])
-        if anchors.size < len(steps):
-            return _support_walk(fs, anchors)
-    return _dense_walk(fs, steps, exact)
-
-
-def _ap3_sum(f, g, exact: bool):
-    """ap_sum of (f, g, f), split by the classes mod 6 of x < y < z (W = 6).
-
-    C is the n prime to 6 and R the rest; every progression falls in one
-    of four parts. x, y, z all in C: they are odd, and nonzero mod 3 with
-    x + z = 2y, so x = z = y mod 3; they lie in one class b in {1, 5} mod
-    6 with 6 | d, which is _parity_sum on the class arrays f[b - 1::6],
-    each transform about N/6 long. The other three are walked from the
-    support of f and g on R, which the caller keeps sparse. x and z in R:
-    pairs of that support with one parity. One end a in R and the other e
-    in C: both odd, so a = 3 mod 6, and e = b + 6w on either side of a
-    meets y = (a + b)/2 + 3w, one product of a class array with g at
-    stride 3. x and z in C and y in R: for each class pair (r, s) of
-    (x, z), x = r + 6u, z = s + 6(c - u), one product of class arrays;
-    this counts (x, z) and (z, x), so that part is halved.
-    """
+    if k == 3 and fs[2] is not fs[0] and np.array_equal(fs[0], fs[2]):
+        fs[2] = fs[0]
     # The parity route runs four transforms of about N entries, some
-    # 10 N log2 N flops, and the class route 1/6 of that; each anchor
-    # walks at most two products of N/6 entries, 2N/3 flops, so walking
-    # pays up to about 12 log2 N anchors; 4 log2 N for each of f and g
-    # leaves room for the strided reads
-    budget = 4 * max(f.size, 1).bit_length()
-    off_f = _off_class_support(f, budget)
-    off_g = off_f if g is f else _off_class_support(g, budget)
-    if off_f is None or off_g is None:
-        return _parity_sum(f, g, exact)
-    num = int if exact else float
+    # 10 N log2 N flops, and the class route 1/6 of that; for k = 3 a point
+    # of R walks strided products of about N flops in all, so walking pays
+    # up to about 8 log2 N points; 4 log2 N for each sequence leaves room
+    # for the strided reads. For k >= 4 the class parts walk 1/18 of the
+    # whole-array walk, which leaves far more room
+    budget = 4 * max(N, 1).bit_length()
+    views = {}
+    for f in fs:
+        if id(f) not in views:
+            views[id(f)] = _view(f, budget)
+            if views[id(f)] is None:
+                return _walk(fs, exact)
+    return _class_split([views[id(f)] for f in fs], exact)
+
+
+class _View(NamedTuple):
+    """A sequence f on [1, N] as the W-trick with W = 6 reads it: its class
+    arrays (f(1 + 6m), f(5 + 6m)), and its values at R, the n with
+    gcd(n, 6) > 1 where f is nonzero, ascending."""
+
+    N: int
+    classes: tuple
+    R: np.ndarray
+    values: np.ndarray
+
+
+def _view(f, budget: int):
+    """The W = 6 view of f on [1, N], or None when more than budget n
+    with gcd(n, 6) > 1 hold a nonzero f(n)."""
+    R = _off_class_support(f, budget)
+    if R is None:
+        return None
+    return _View(f.size, tuple(np.ascontiguousarray(f[b - 1 :: 6]) for b in (1, 5)),
+                 R, f[R - 1])
+
+
+def _class_split(views, exact: bool):
+    """ap_sum from the W = 6 views of its k sequences.
+
+    A progression whose terms are all prime to 6 is odd throughout, so
+    2 | d, and misses 0 mod 3, so 3 | d: it lies in one class b in {1, 5}
+    at step d/6 of the class arrays, and each class is one ap_sum route
+    on arrays about N/6 long (the parity split for k = 3 with f_1 = f_3).
+    Every other progression has a term in R and is walked from there by
+    _off_class_walk.
+    """
+    total = sum(_walk([v.classes[c] for v in views], exact) for c in (0, 1))
+    return total + _off_class_walk(views, exact)
+
+
+def _off_class_walk(views, exact: bool):
+    """The part of ap_sum over the progressions with a term n where
+    gcd(n, 6) > 1, read from the views only.
+
+    Each progression is keyed on its first such term: position i, value
+    r in R_i, with every earlier term prime to 6, so none is counted
+    twice. If every other term is prime to 6 too, the residue e of d mod
+    6 fixes the class of each term, and d = e + 6t walks each of them at
+    stride j - i on its class array: one product of k - 1 strided slices
+    per (i, r, e). Otherwise some later term j lies in R_j, which fixes
+    d; those few progressions are looked up term by term.
+    """
+    k, N = len(views), views[0].N
     if exact:
         def dot(a, b):
             return int(np.count_nonzero(a & b))
     else:
-        def dot(a, b):
-            return float(np.dot(a, b))
-    fc = {b: np.ascontiguousarray(f[b - 1 :: 6]) for b in (1, 5)}
-    gc = fc if g is f else {b: np.ascontiguousarray(g[b - 1 :: 6]) for b in (1, 5)}
-    total = sum(_parity_sum(fc[b], gc[b], exact) for b in (1, 5))
-    i, j = np.triu_indices(off_f.size, 1)
-    x, z = off_f[i], off_f[j]
-    same = (z - x) % 2 == 0
-    x, z = x[same], z[same]
-    total += dot(f[x - 1] * f[z - 1], g[(x + z) // 2 - 1])
-    for a in off_f[off_f % 2 == 1].tolist():
-        for b, cls in fc.items():
-            y0 = (a + b) // 2 - 1
-            total += num(f[a - 1]) * dot(cls, g[y0 : y0 + 3 * cls.size : 3])
-    centre = 0 if exact else 0.0
-    for y in off_g.tolist():
-        for r, s in ((1, 1), (1, 5), (5, 1), (5, 5)):
-            c, rem = divmod(2 * y - r - s, 6)  # x = r + 6u, z = s + 6(c - u)
-            lo, hi = max(0, c - fc[s].size + 1), min(fc[r].size - 1, c)
-            if rem or lo > hi:
-                continue
-            centre += num(g[y - 1]) * dot(fc[r][lo : hi + 1], fc[s][c - hi : c - lo + 1][::-1])
-    return total + (centre // 2 if exact else centre / 2.0)
+        def dot(a, b):  # np.dot would copy a slice with a negative stride
+            return float(np.einsum("i,i->", a, b))
+    total = 0 if exact else 0.0
+    for i, v in enumerate(views):
+        for r, val in zip(v.R.tolist(), v.values.tolist()):
+            # the longest d with x = r - i d >= 1 and r + (k - 1 - i) d <= N
+            dmax = min((r - 1) // i if i else N, (N - r) // (k - 1 - i) if i < k - 1 else N)
+            for e in range(1, min(dmax, 5) + 1):  # e = 0 keeps every term off the classes
+                starts = [r + (j - i) * e for j in range(k)]
+                if any(math.gcd(n, 6) != 1 for j, n in enumerate(starts) if j != i):
+                    continue
+                T = (dmax - e) // 6 + 1
+                parts = [_strided(views[j].classes[n % 6 == 5], n // 6, j - i, T)
+                         for j, n in enumerate(starts) if j != i]
+                head = parts[0]
+                for part in parts[1:-1]:
+                    head = head * part
+                total += val * dot(head, parts[-1])
+        if i < k - 1:
+            total += _pinned_walk(views, i, exact)
+    return total
+
+
+def _strided(a, start: int, step: int, count: int):
+    """a[start], a[start + step], ... count entries, for either sign of step."""
+    stop = start + step * count
+    return a[start : stop if stop >= 0 else None : step]
+
+
+def _pinned_walk(views, i: int, exact: bool):
+    """The progressions keyed on a term r in R_i at position i < k - 1
+    (every earlier term prime to 6) with a later term s in R_j:
+    d = (s - r)/(j - i), each (r, d) once, every term looked up in its view."""
+    k, N, R = len(views), views[0].N, views[i].R
+    pairs = []
+    for j in range(i + 1, k):
+        diff = views[j].R[None, :] - R[:, None]
+        at = (diff > 0) & (diff % (j - i) == 0)
+        pairs.append(np.nonzero(at)[0] * (N + 1) + diff[at] // (j - i))
+    key = np.sort(np.concatenate(pairs))
+    key = key[np.diff(key, prepend=-1) != 0]  # each (r, d) once
+    idx, d = np.divmod(key, N + 1)
+    r = R[idx]
+    ok = (r - i * d >= 1) & (r + (k - 1 - i) * d <= N)
+    for j in range(i):
+        n = r + (j - i) * d
+        ok &= (n % 2 == 1) & (n % 3 != 0)
+    idx, r, d = idx[ok], r[ok], d[ok]
+    prod = views[i].values[idx]
+    for j in range(k):
+        if j != i:
+            prod = prod * _lookup(views[j], r + (j - i) * d)
+    return int(np.count_nonzero(prod)) if exact else float(prod.sum())
+
+
+def _lookup(view, n):
+    """The viewed sequence at each n of an int array of points in [1, N]."""
+    out = np.zeros(n.shape, dtype=view.values.dtype)
+    cls = n % 6
+    for b, arr in zip((1, 5), view.classes):
+        at = cls == b
+        out[at] = arr[n[at] // 6]
+    if view.R.size:
+        pos = np.minimum(np.searchsorted(view.R, n), view.R.size - 1)
+        hit = view.R[pos] == n
+        out[hit] = view.values[pos[hit]]
+    return out
 
 
 def _off_class_support(f, budget: int):
     """The n in [1, N] with gcd(n, 6) > 1 and f(n) != 0, ascending, or
     None when there are more than budget of them."""
-    even, threes = f[1::2].nonzero()[0], f[2::6].nonzero()[0]
-    if even.size + threes.size > budget:
-        return None
-    return np.sort(np.concatenate((2 * even + 2, 6 * threes + 3)))
+    even, threes = f[1::2], f[2::6]
+    if np.count_nonzero(even) + np.count_nonzero(threes) > budget:
+        return None  # counted first, so dense input allocates nothing here
+    return np.sort(np.concatenate((2 * np.flatnonzero(even) + 2, 6 * np.flatnonzero(threes) + 3)))
 
 
 def _parity_sum(f, g, exact: bool):
@@ -290,6 +372,20 @@ def _parity_sum(f, g, exact: bool):
         return (both - int(np.count_nonzero(f[1:] & g[1:]))) // 2 + start
     start = float(f[:1].sum()) * float(np.dot(ends, odd))
     return (both - float(np.dot(f[1:] * f[1:], g[1:]))) / 2.0 + start
+
+
+def _walk(fs, exact: bool):
+    """ap_sum without the class split: the parity split for k = 3 with
+    fs[0] is fs[2], else the support walk or the whole-array walk."""
+    k, N = len(fs), fs[0].size
+    if k == 3 and fs[0] is fs[2]:
+        return _parity_sum(fs[0], fs[1], exact)
+    steps = range(1, (N - 1) // (k - 1) + 1)
+    if not exact:
+        anchors = np.flatnonzero(fs[0][: max(N - k + 1, 0)])
+        if anchors.size < len(steps):
+            return _support_walk(fs, anchors)
+    return _dense_walk(fs, steps, exact)
 
 
 def _dense_walk(fs, steps, exact: bool):
@@ -331,15 +427,7 @@ def count_ap_primes(table: ArithTable, N: int, k: int) -> int:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
     if k > N:
         return 0  # no k distinct terms fit in [1, N]
-    isp = table.is_prime[1 : N + 1]
-    if k == 3:
-        return ap_sum((isp,) * 3)
-    # A prime k-AP with k >= 4 has 6 | d (and p1 >= 5): an odd d makes p2 or
-    # p3 even and above 2; an even d prime to 3 makes one of p1, p2, p3 equal
-    # to 3, and as p2, p3 >= 4 that is p1, so p4 = 3 + 3d is a multiple of 3.
-    # So it lies in one class b = 1 or 5 mod 6, at steps of d/6 in isp[b - 1::6]
-    classes = (np.ascontiguousarray(isp[b - 1 :: 6]) for b in (1, 5))
-    return sum(ap_sum((cls,) * k) for cls in classes)
+    return ap_sum((table.is_prime[1 : N + 1],) * k)
 
 
 def ap_cells(N: int, k: int) -> int:
@@ -353,16 +441,22 @@ def ap_cells(N: int, k: int) -> int:
 
 
 def weighted_ap_average(table: ArithTable, N: int, k: int) -> float:
-    """E over {AP system solutions in [1,N]^k} of the Lambda product."""
+    """E over {AP system solutions in [1,N]^k} of the Lambda product.
+
+    Lambda is read as its W = 6 view, sieved from is_prime: the class
+    arrays 1 and 5 mod 6 and the powers of 2 and 3 (arith.vonmangoldt_classes),
+    summed by ap_sum's class split; the full-length column is never made.
+    """
     if k not in (3, 4):
         raise ValueError("weighted averages implemented for k in {3, 4}")
     if N > table.limit:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
-    lam = table.vonmangoldt[1 : N + 1]
-    total = 2.0 * ap_sum((lam,) * k)  # d < 0 mirrors d > 0
-    nz = lam[lam != 0]  # the d = 0 term, on the prime powers
-    sq = nz * nz
-    total += float(np.dot(sq, sq if k == 4 else nz))
+    classes, R, values = vonmangoldt_classes(table.is_prime, N)
+    lam = _View(N, classes, R, values)
+    total = 2.0 * _class_split((lam,) * k, False)  # d < 0 mirrors d > 0
+    for nz in (*(c[c != 0] for c in classes), values):  # d = 0, on the prime powers
+        sq = nz * nz
+        total += float(np.dot(sq, sq if k == 4 else nz))
     return total / (N + 2 * ap_cells(N, k))
 
 

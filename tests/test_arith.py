@@ -129,6 +129,31 @@ def test_w_trick_rejections(table_1e4):
         arith.w_trick(table_1e4, params, 10**4)
 
 
+def test_w_trick_equals_the_scaled_column(table_1e6):
+    for W, b in ((2, 1), (6, 1), (6, 5), (30, 7)):
+        params = arith.WTrickParams.create(W, b)
+        N = (table_1e6.limit - b) // W
+        want = params.scale * table_1e6.vonmangoldt[W * np.arange(1, N + 1) + b]
+        assert arith.w_trick(table_1e6, params, N).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match=r"table limit 1000000 < W\*N\+b"):
+            arith.w_trick(table_1e6, params, N + 1)
+
+
+def test_vonmangoldt_classes_match_the_column(table_1e4, table_1e6):
+    # N < 6 and every N mod 6; 25, 49 and 121 fall in the classes, 4, 8, 9
+    # and 27 in R
+    tables = [(N, arith.build_table(N)) for N in range(1, 41)]
+    for N, tab in tables + [(10**4, table_1e4), (10**6, table_1e6)]:
+        (ones, fives), R, values = arith.vonmangoldt_classes(tab.is_prime, N)
+        lam = tab.vonmangoldt
+        assert ones.tobytes() == lam[1::6].tobytes()
+        assert fives.tobytes() == lam[5::6].tobytes()
+        assert np.array_equal(R, np.flatnonzero((np.gcd(np.arange(N + 1), 6) > 1) & (lam != 0)))
+        assert values.tobytes() == lam[R].tobytes()
+    assert {4, 8, 9, 27} <= set(R.tolist())
+    assert ones[25 // 6] == fives[121 // 6] == lam[5] and ones[49 // 6] == lam[7]
+
+
 def default_w_params(b: int = 1) -> arith.WTrickParams:
     """Product of the primes up to 5 (W = 30); w(N) is a free knob here."""
     return arith.WTrickParams.create(2 * 3 * 5, b)

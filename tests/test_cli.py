@@ -287,6 +287,22 @@ def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
         assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
+_NUMPY_CORE = np._core if hasattr(np, "_core") else np.core  # renamed in numpy 2
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), _NUMPY_CORE._exceptions._ArrayMemoryError(
+    (10**12,), np.dtype(np.float64))], ids=["bare", "numpy"])
+def test_memory_error_ends_in_one_validation_error(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_sieve", fail)
+    code, out, err = run_cli(capsys, "sieve", "--n", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: out of memory") and err.count("\n") == 1
+    assert str(exc) in err
+
+
 def test_data_dir_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
     report_first = run_json(capsys, "sieve", "--n", "2000")

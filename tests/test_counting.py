@@ -254,24 +254,26 @@ def test_ap3_classes_mod_6_match_literal_loop(table_1e4):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def draw_few_off_class(data, n: int, boolean: bool):
+    """A drawn sequence on [1, n]: any values on the n prime to 6, and at
+    most four other points."""
+    coprime = np.gcd(np.arange(1, n + 1), 6) == 1
+    off = np.flatnonzero(~coprime).tolist()
+    dtype = bool if boolean else np.float64
+    f = data.draw(arrays(dtype, n, elements=st.booleans() if boolean else st.floats(-1.0, 1.0),
+                         fill=st.nothing()))
+    keep = coprime.copy()
+    if off:
+        keep[list(data.draw(st.sets(st.sampled_from(off), max_size=4)))] = True
+    return np.where(keep, f, 0).astype(dtype)
+
+
 def test_ap3_classes_mod_6_with_a_few_off_class_points():
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 90), boolean=st.booleans(), shared=st.booleans())
     def check(data, n, boolean, shared):
-        coprime = np.gcd(np.arange(1, n + 1), 6) == 1
-        off = np.flatnonzero(~coprime).tolist()
-        dtype = bool if boolean else np.float64
-
-        def draw():  # any values on the n prime to 6, and at most four other points
-            f = data.draw(arrays(dtype, n, elements=st.booleans() if boolean else st.floats(-1.0, 1.0),
-                                 fill=st.nothing()))
-            keep = coprime.copy()
-            if off:
-                keep[list(data.draw(st.sets(st.sampled_from(off), max_size=4)))] = True
-            return np.where(keep, f, 0).astype(dtype)
-
-        f = draw()
-        g = f if shared else draw()
+        f = draw_few_off_class(data, n, boolean)
+        g = f if shared else draw_few_off_class(data, n, boolean)
         with parity_calls() as parity:
             got = counting.ap_sum((f, g, f))
         assert [c.args[0].size for c in parity.call_args_list] == [(n + 5) // 6, (n + 1) // 6]
@@ -282,6 +284,88 @@ def test_ap3_classes_mod_6_with_a_few_off_class_points():
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     check()
+
+
+def test_class_split_matches_literal_loop():
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([3, 4, 5]), n=st.integers(1, 90),
+           boolean=st.booleans(), sharing=st.sampled_from(["all", "ends", "none"]))
+    def check(data, k, n, boolean, sharing):
+        def draw():
+            return draw_few_off_class(data, n, boolean)
+
+        if sharing == "all":
+            fs = [draw()] * k
+        elif sharing == "ends":
+            f = draw()
+            fs = [f] + [draw() for _ in range(k - 2)] + [f]
+        else:
+            fs = [draw() for _ in range(k)]
+        with mock.patch.object(counting, "_off_class_walk",
+                               wraps=counting._off_class_walk) as walk:
+            got = counting.ap_sum(fs)
+        assert walk.call_count == 1
+        want = oracle_ap_sum(fs)
+        if boolean:
+            assert type(got) is int and got == want
+        else:
+            assert type(got) is float and got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    check()
+
+
+def test_k4_classes_mod_6_match_literal_loop(table_1e4):
+    # every N mod 6 and the powers of 2 and 3 at either end of [1, N]
+    sizes = set(range(1, 61)) | {64, 65, 81, 82, 127, 128, 243, 244}
+    for N in sorted(sizes):
+        for f in (table_1e4.is_prime[1 : N + 1], table_1e4.vonmangoldt[1 : N + 1]):
+            for k in (4, 5):
+                with mock.patch.object(counting, "_off_class_walk",
+                                       wraps=counting._off_class_walk) as walk:
+                    got = counting.ap_sum((f,) * k)
+                assert walk.call_count == 1
+                want = oracle_ap_sum((f,) * k)
+                if f.dtype == bool:
+                    assert type(got) is int and got == want
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_prime_progressions_past_k3_have_no_term_off_the_classes(table_1e4):
+    # a prime k-AP with k >= 4 has 6 | d: an odd d makes p2 or p3 even and
+    # above 2, and an even d prime to 3 puts a multiple of 3 above 3 among
+    # p2, p3, p4. So no term is 2 or 3, and the walk from R = {2, 3} adds 0
+    for N in (23, 100, 500, 1000, 10**4):
+        view = counting._view(table_1e4.is_prime[1 : N + 1], 4 * N.bit_length())
+        assert view.R.tolist() == [2, 3]
+        for k in (4, 5):
+            assert counting._off_class_walk([view] * k, True) == 0
+        assert counting._off_class_walk([view] * 3, True) > 0  # (3, 5, 7) and more
+
+
+def full_length_weighted(table, N, k, monkeypatch):
+    """weighted_ap_average on the full-length Lambda column, without the
+    class split: the parity route for k = 3, the support walk for k = 4."""
+    lam = table.vonmangoldt[1 : N + 1]
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_off_class_support", lambda f, budget: None)
+        total = 2.0 * counting.ap_sum((lam,) * k)
+    nz = lam[lam != 0]
+    total += float(np.dot(nz * nz, nz * nz if k == 4 else nz))
+    return total / (N + 2 * counting.ap_cells(N, k))
+
+
+def test_weighted_never_reads_the_lambda_column(table_1e4, monkeypatch):
+    class NoLambda(arith.ArithTable):
+        @property
+        def vonmangoldt(self):
+            raise AssertionError("the Lambda column was read")
+
+    blind = NoLambda(10**4, is_prime=table_1e4.is_prime)
+    for N in (1, 7, 50, 2000, 10**4):
+        for k in (3, 4):
+            want = full_length_weighted(table_1e4, N, k, monkeypatch)
+            assert counting.weighted_ap_average(blind, N, k) == pytest.approx(want, rel=1e-12)
 
 
 def test_dense_off_class_support_keeps_the_parity_route():
@@ -300,11 +384,11 @@ def test_weighted_classes_mod_6_match_the_parity_route(table_1e6, monkeypatch):
     N = 10**5
     with parity_calls() as parity:
         fast = counting.weighted_ap_average(table_1e6, N, 3)
-    assert max(c.args[0].size for c in parity.call_args_list) <= (N + 5) // 6
-    monkeypatch.setattr(counting, "_off_class_support", lambda f, budget: None)
+    assert [c.args[0].size for c in parity.call_args_list] == [(N + 5) // 6, (N + 1) // 6]
     with parity_calls() as parity:
-        assert fast == pytest.approx(counting.weighted_ap_average(table_1e6, N, 3), rel=1e-12)
+        slow = full_length_weighted(table_1e6, N, 3, monkeypatch)
     assert [c.args[0].size for c in parity.call_args_list] == [N]
+    assert fast == pytest.approx(slow, rel=1e-12)
 
 
 def test_ap3_stays_within_a_multiple_of_its_input(table_1e6, traced_peak):
@@ -318,6 +402,10 @@ def test_ap3_stays_within_a_multiple_of_its_input(table_1e6, traced_peak):
     for f, bound in ((lam, 0.75), (isp, 7.5)):
         assert traced_peak(lambda: counting.ap_sum((f, f, f))) <= bound * f.nbytes
     assert traced_peak(lambda: counting.weighted_ap_average(table_1e6, N, 3)) <= 0.8 * lam.nbytes
+    # with the sieve of is_prime inside: Lambda is only ever made as its
+    # class arrays, 1/3 of a full-length column
+    fresh = traced_peak(lambda: counting.weighted_ap_average(arith.build_table(N), N, 3))
+    assert fresh <= 1.0 * 8 * N
 
 
 def test_count_ap_primes_frozen_examples(table_1e4):
