@@ -149,7 +149,7 @@ def _mobius(N: int) -> np.ndarray:
         mobius[p::p] *= -1
         small_prime_prod[p::p] *= p
         mobius[p * p :: p * p] = 0
-    chunk = 1 << 22
+    chunk = 1 << 16  # the comparison pass's temporaries stay O(chunk)
     for lo in range(0, N + 1, chunk):
         hi = min(lo + chunk, N + 1)
         rest = small_prime_prod[lo:hi] < np.arange(lo, hi, dtype=np.int32)

@@ -294,9 +294,7 @@ def cmd_nilseq(args) -> int:
         F = nilseq.TestFunction.vertical_character(int(args.character[9:]))
     else:
         raise ValueError(f"unknown character {args.character!r}")
-    orbit = nilseq.orbit_array(g, nilseq.ORIGIN, args.n)
-    vals = F.evaluate(orbit[:, 0], orbit[:, 1], orbit[:, 2])
-    table = np.column_stack([orbit, vals.real, vals.imag])
+    table = nilseq.nilsequence_table(F, g, nilseq.ORIGIN, args.n)
     if args.format == "csv":
         _check_finite(table)
         with _csv_out(args) as out:
@@ -307,7 +305,7 @@ def cmd_nilseq(args) -> int:
         "g": [g.alpha, g.beta, g.gamma],
         "character": args.character,
         "lipschitz_estimate": F.lipschitz_estimate,
-        "mean": {"re": float(vals.real.mean()), "im": float(vals.imag.mean())},
+        "mean": {"re": float(table[:, 3].mean()), "im": float(table[:, 4].mean())},
         "head": [[n, *row] for n, row in enumerate(table[:10].tolist(), 1)],
     }
     params = {"N": args.n, "character": args.character}
@@ -319,8 +317,9 @@ def _numeric_csv(table: np.ndarray):
     """Rows (n, *table[n-1]) as the text csv.writer makes of them, 4096
     rows at a time. Float reprs never need quoting and never hold ", ", so
     one repr of a block's flattened values splits into its fields, and a
-    row is n and its fields joined by commas, ended by CR LF. Blocks bound
-    the memory the text and its fields take."""
+    row is n and its fields joined by commas, ended by CR LF. The working
+    set is one block's floats, fields and text, whatever the table's
+    length."""
     width = table.shape[1]
     chunk = 1 << 12
     for start in range(0, len(table), chunk):

@@ -52,7 +52,7 @@ class PowerIterationError(RuntimeError):
         self.last_value = last_value
 
 
-_EXP_BLOCK = 1 << 16  # terms per exp_sum block
+_EXP_BLOCK = 1 << 16  # terms per exp_sum block, elements per Type II gather
 _CLASS_LEN = 1 << 18  # shortest class transform of sup_exp_sum
 
 
@@ -91,8 +91,11 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     Real input has |F(M2 - xi)| = |F(xi)|, so the classes r <= R/2 cover
     the grid an rfft of length M2 would read; class 0 is an rfft, and it
     is the only class when M2 <= 2^18. L = min(M2, max(2^18, M2/32)), so
-    there are at most 32 classes and the extra memory is O(L). Complex
-    weights, which have no such mirror, are refused.
+    there are at most 32 classes. One fold of L (whose float view also
+    takes the magnitudes) and one work block of 2^16 are made once and
+    reused by every class, so per class the only new length-L array is the
+    transform's output, and the memory beyond the input is O(L).
+    Complex weights, which have no such mirror, are refused.
     """
     if oversample < 4:
         raise ValueError("oversample must be >= 4")
@@ -108,29 +111,41 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     # fold block q holds n in [qL, (q+1)L) at offset n - qL; w(n) is w[n-1]
     blocks = [(max(q * L, 1) - q * L, w[max(q * L, 1) - 1 : min((q + 1) * L, N + 1) - 1])
               for q in range(N // L + 1)]
-    fold = np.zeros(L)
+    # one fold and one work block serve every class; the fold's float view
+    # holds class 0's real fold and then each class's magnitudes, so class 0
+    # alone needs only that view
+    fold = np.zeros(L if R > 1 else L // 2, dtype=np.complex128)
+    B = min(L, _EXP_BLOCK)
+    work = np.empty(B, dtype=np.complex128)
+    mags = fold.view(np.float64)[:L]
     for lo, seg in blocks:
-        fold[lo : lo + seg.size] += seg
-    mags = np.abs(np.fft.rfft(fold))
-    j = int(np.argmax(mags))
-    best, best_xi = mags[j], R * j
+        mags[lo : lo + seg.size] += seg
+    mags0 = np.abs(np.fft.rfft(mags), out=mags[: L // 2 + 1])
+    j = int(np.argmax(mags0))
+    best, best_xi = mags0[j], R * j
     # the twist e(-r*m/M2) is an outer product over m = m1*L2 + m2, so each
-    # class takes L/L2 + L2 exponentials, not L; r*m < M2 keeps them exact
+    # class takes L/L2 + L2 exponentials, not L; r*m < M2 keeps them exact.
+    # L, the work block and L2 are powers of two, L2 the least of them.
     L2 = 1 << (L.bit_length() // 2)
     m1, m2 = np.arange(0, L, L2), np.arange(L2)
     for r in range(1, R // 2 + 1):
-        fold = np.zeros(L, dtype=np.complex128)
+        fold[:] = 0.0
         for q, (lo, seg) in enumerate(blocks):
-            fold[lo : lo + seg.size] += seg * np.exp(-2j * np.pi * ((r * q) % R) / R)
-        fold *= np.multiply.outer(np.exp(-2j * np.pi * (r * m1) / M2),
-                                  np.exp(-2j * np.pi * (r * m2) / M2)).ravel()
-        mags = np.abs(np.fft.fft(fold))
-        if 2 * r == R:
-            # this class holds its own mirror images: keep xi <= M2/2
-            mags = mags[: L // 2]
-        top = mags.max()
-        xi = R * np.flatnonzero(mags == top) + r
-        x = int(np.minimum(xi, M2 - xi).min())
+            phase = np.exp(-2j * np.pi * ((r * q) % R) / R)
+            for i in range(0, seg.size, B):
+                s = seg[i : i + B]
+                fold[lo + i : lo + i + s.size] += np.multiply(s, phase, out=work[: s.size])
+        e1 = np.exp(-2j * np.pi * (r * m1) / M2)
+        e2 = np.exp(-2j * np.pi * (r * m2) / M2)
+        for i in range(0, L, B):
+            twist = np.multiply.outer(e1[i // L2 : (i + B) // L2], e2, out=work.reshape(-1, L2))
+            fold[i : i + B] *= twist.ravel()
+        # this class holds its own mirror images when 2r = R: keep xi <= M2/2
+        cls = np.abs(np.fft.fft(fold), out=mags)[: L // 2 if 2 * r == R else L]
+        # among the top bins, the first has the least xi = R*j + r and the
+        # last the least mirror M2 - xi
+        first, last = int(np.argmax(cls)), cls.size - 1 - int(np.argmax(cls[::-1]))
+        top, x = cls[first], min(R * first + r, M2 - (R * last + r))
         if top > best or (top == best and x < best_xi):
             best, best_xi = top, x
     return best_xi / M2, float(best / N)
@@ -183,11 +198,13 @@ def type1_max(f, D: int) -> float:
 
 
 def _type2_matvec(fext: np.ndarray, ds: np.ndarray, ws: np.ndarray,
-                  v: np.ndarray, conj: bool = False, block: int = 512) -> np.ndarray:
+                  v: np.ndarray, conj: bool = False) -> np.ndarray:
     """(Av)_d = sum_w fext[w*d] v_w, or sum_w conj(fext[w*d]) v_w with conj;
-    an index past the end of fext reads its last slot, which is zero. Rows
-    are blocked to bound the gather size."""
+    an index past the end of fext reads its last slot, which is zero. Each
+    block gathers max(1, 2^16 // ws.size) rows, so its index, its gathered
+    rows and their complex cast in the product stay near 2^16 elements."""
     out = np.empty(ds.size, dtype=np.complex128)
+    block = max(1, _EXP_BLOCK // ws.size)
     for lo in range(0, ds.size, block):
         hi = min(lo + block, ds.size)
         idx = np.outer(ds[lo:hi], ws)

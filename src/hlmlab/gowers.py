@@ -19,6 +19,12 @@ uses no spectrum; "fft" takes k-2 and ends in the exact U^2 base
 average in its own code, with no derivative. They agree to 1e-10 at
 small M; the test suite pins this.
 
+Every route works in blocks of about 2^16 elements (_BLOCK, one row of
+M at the least): a derivative block holds that many values, and the
+brute force sums its tensor over a slice of max(1, _BLOCK // M^k)
+values of h_1 at a time. So the memory beyond the input is O(_BLOCK)
+per level of the recursion, whatever M is.
+
 ap_average is the multilinear solution-count form for the k-term AP
 system on Z/M, E_{x,d} prod_i f_i(x + (i-1)d); it requires
 gcd(M, (k-1)!) = 1 so the AP coefficients are invertible, which makes
@@ -34,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 UK_CAPS = {3: 4096, 4: 256}
 BRUTEFORCE_CAP = 10**8
-_BLOCK = 2**20  # elements in one derivative block
+_BLOCK = 2**16  # elements in one derivative or brute-force block
 
 
 def _as_vector(f) -> np.ndarray:
@@ -47,7 +53,8 @@ def _as_vector(f) -> np.ndarray:
 
 
 def _derivatives(V: np.ndarray, hs: np.ndarray):
-    """Yield D_h V[i] for each row i and shift h in hs, i-major, in blocks of ~_BLOCK."""
+    """Yield D_h V[i] for each row i and shift h in hs, i-major, in blocks of
+    about _BLOCK elements (one row of M at the least)."""
     R, M = V.shape
     h_step = max(1, min(hs.size, _BLOCK // M))
     r_step = max(1, _BLOCK // (h_step * M))
@@ -109,7 +116,8 @@ def uk_norm(f, k: int, method: str = "fft") -> float:
 
 
 def uk_norm_bruteforce(f, k: int) -> float:
-    """Literal parallelepiped average over (x, h_1..h_k) in (Z/M)^(k+1)."""
+    """Literal parallelepiped average over (x, h_1..h_k) in (Z/M)^(k+1),
+    summed over h_1 in slices of max(1, _BLOCK // M^k) values."""
     v = _as_vector(f)
     M = v.size
     if M ** (k + 1) > BRUTEFORCE_CAP:
@@ -119,7 +127,7 @@ def uk_norm_bruteforce(f, k: int) -> float:
     x = base.reshape((1,) * k + (M,))
 
     def tensor_sum(h1_values: np.ndarray) -> float:
-        # axes (h_1, ..., h_k, x); full broadcast when small, else one h_1
+        # axes (h_1, ..., h_k, x): a slice of h_1 values times (Z/M)^k
         hs = [h1_values] + [base] * (k - 1)
         axes = [h.reshape((1,) * i + (h.size,) + (1,) * (k - i)) for i, h in enumerate(hs)]
         acc = None
@@ -130,8 +138,8 @@ def uk_norm_bruteforce(f, k: int) -> float:
             acc = term if acc is None else np.multiply(acc, term, out=acc)
         return float(np.sum(acc).real)
 
-    h1_blocks = [base] if M ** (k + 1) <= 2**22 else [np.array([h1]) for h1 in range(M)]
-    total = sum(tensor_sum(h1) for h1 in h1_blocks)
+    step = max(1, _BLOCK // M**k)
+    total = sum(tensor_sum(base[lo : lo + step]) for lo in range(0, M, step))
     return max(total / M ** (k + 1), 0.0) ** (1.0 / 2**k)
 
 

@@ -334,12 +334,20 @@ def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:
     if tail_primes.size >= 4:
         logs = np.abs(np.log(_alpha_float(patterns, system, tail_primes)))
         csum = np.cumsum(logs)
-        marks = np.unique(np.linspace(tail_primes.size // 4, tail_primes.size - 1, 8).astype(int))
+        marks = _tail_marks(tail_primes.size)
         slope, intercept = np.polyfit(1.0 / tail_primes[marks].astype(float), csum[marks], 1)
         tail = float(max(intercept, csum[-1]))
     else:
         tail = 0.0
     return SingularSeries(factors, product, P0, tail)
+
+
+def _tail_marks(size: int) -> np.ndarray:
+    """The distinct indices of 8 points spaced evenly over [size // 4, size - 1].
+    They come sorted, so a repeat is a zero step; np.unique would find them
+    too, but its first call imports numpy.ma."""
+    marks = np.linspace(size // 4, size - 1, 8).astype(int)
+    return marks[np.diff(marks, prepend=-1) > 0]
 
 
 def _alpha_float(patterns: _SystemPatterns, system: LinearSystem,

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from ._phase import EXACT_LIMIT, frac01, frac_dd, frac_half, nearest_int, two_prod
+from ._phase import _SPLIT, EXACT_LIMIT, frac01, frac_dd, frac_half, nearest_int, two_prod
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,36 @@ def closed_form_orbit(g: HeisenbergElement, n: int) -> HeisenbergPoint:
     return HeisenbergPoint(float(xr % 1), float(y_red), float(zr - zint))
 
 
+# points per block of the orbit fills and the battery: a block's dozen
+# temporaries then stay in cache (at N = 10^7 this halves the battery's time
+# against whole-array passes)
+_BLOCK = 1 << 14
+
+
 def _check_n_max(n_max: int) -> None:
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     if n_max * (n_max - 1) >= EXACT_LIMIT:
         raise ValueError(f"n_max = {n_max} too large: n(n-1) must stay below 2^53")
+
+
+def _check_orbit(g: HeisenbergElement, x0: HeisenbergPoint, n_max: int) -> None:
+    """Refuse an orbit that _orbit cannot compute in doubles for n <= n_max:
+    n_max < 1, n_max(n_max - 1) >= 2^53, a non-finite coordinate, or a
+    finite g whose intermediates overflow."""
+    _check_n_max(n_max)
+    coords = (g.alpha, g.beta, g.gamma, x0.x, x0.y, x0.z)
+    if not all(math.isfinite(t) for t in coords):
+        raise ValueError(f"g and x0 must be finite, got g = {g}, x0 = {x0}")
+    a, b, c, x, y, z = (abs(float(t)) for t in coords)
+    # each bounds the magnitude of one intermediate of _orbit at n = n_max
+    bounds = (x + a * n_max,  # x_raw
+              z + c * n_max,  # z_raw, and the wrap count
+              a * _SPLIT, c * _SPLIT, a * c * _SPLIT,  # the Dekker splits
+              n_max * n_max * (a * c),  # the quadratic product in frac_dd
+              y + b * n_max + a * z * n_max + 2.0 + z + c * n_max)  # y_raw
+    if not all(math.isfinite(t) for t in bounds):
+        raise ValueError(f"the orbit of g = {g} overflows a double within n <= {n_max}")
 
 
 def _orbit(g: HeisenbergElement, x0: HeisenbergPoint, n: np.ndarray):
@@ -130,6 +155,14 @@ def _orbit(g: HeisenbergElement, x0: HeisenbergPoint, n: np.ndarray):
     return x_red, frac01(y_raw), z_raw - c
 
 
+def _orbit_blocks(g: HeisenbergElement, x0: HeisenbergPoint, n_max: int):
+    """Yield (lo, (x, y, z)) for n = lo+1 .. lo+_BLOCK in turn up to n_max.
+    Every point is the one _orbit gives on the whole range, bit for bit:
+    _orbit is elementwise. The caller runs _check_orbit first."""
+    for lo in range(0, n_max, _BLOCK):
+        yield lo, _orbit(g, x0, np.arange(lo + 1.0, min(lo + _BLOCK, n_max) + 1))
+
+
 def orbit_array(g: HeisenbergElement, x0: HeisenbergPoint, n_max: int) -> np.ndarray:
     """Reduced orbit points for n = 1..n_max as an (n_max, 3) array.
 
@@ -144,12 +177,15 @@ def orbit_array(g: HeisenbergElement, x0: HeisenbergPoint, n_max: int) -> np.nda
     double product: x_red carries the ~n * 2^-53 rounding of n*alpha and
     c ~ n*gamma multiplies it, so y is off by up to ~n^2 * 2^-53 (up to
     2e-4 near n = 10^6 and 1.6e-2 near 10^7 for g = (sqrt2, 0.1, sqrt3)).
-    n_max < 1 or n_max(n_max - 1) >= 2^53 raises ValueError before any
+    The points are filled in blocks of _BLOCK, so the memory beyond the
+    output is one block's temporaries. n_max < 1, n_max(n_max - 1) >= 2^53
+    or an orbit that overflows a double raises ValueError before any
     allocation.
     """
-    _check_n_max(n_max)
+    _check_orbit(g, x0, n_max)
     out = np.empty((n_max, 3))
-    out[:, 0], out[:, 1], out[:, 2] = _orbit(g, x0, np.arange(1.0, n_max + 1))
+    for lo, pts in _orbit_blocks(g, x0, n_max):
+        out[lo : lo + _BLOCK] = np.stack(pts, axis=1)
     return out
 
 
@@ -223,9 +259,27 @@ class TestFunction:
 
 def eval_nilsequence(F: TestFunction, g: HeisenbergElement,
                      x0: HeisenbergPoint = ORIGIN, n_max: int = 1000) -> np.ndarray:
-    """(F(T_g^n x0))_{n=1..n_max} as a complex array, |values| <= 1."""
-    orbit = orbit_array(g, x0, n_max)
-    return F.evaluate(orbit[:, 0], orbit[:, 1], orbit[:, 2])
+    """(F(T_g^n x0))_{n=1..n_max} as a complex array, |values| <= 1,
+    evaluated block by block on orbit_array's points."""
+    _check_orbit(g, x0, n_max)
+    out = np.empty(n_max, dtype=np.complex128)
+    for lo, pts in _orbit_blocks(g, x0, n_max):
+        out[lo : lo + _BLOCK] = F.evaluate(*pts)
+    return out
+
+
+def nilsequence_table(F: TestFunction, g: HeisenbergElement, x0: HeisenbergPoint,
+                      n_max: int) -> np.ndarray:
+    """Rows (x, y, z, Re F, Im F) at T_g^n x0 for n = 1..n_max, as an
+    (n_max, 5) array: orbit_array's points and F at them, bit for bit.
+    Filled in blocks of _BLOCK points, like orbit_array, and refused on the
+    same inputs before any allocation."""
+    _check_orbit(g, x0, n_max)
+    out = np.empty((n_max, 5))
+    for lo, pts in _orbit_blocks(g, x0, n_max):
+        vals = F.evaluate(*pts)
+        out[lo : lo + _BLOCK] = np.stack([*pts, vals.real, vals.imag], axis=1)
+    return out
 
 
 GQ_DIM_CAP = 64  # largest number C of frequencies in a GeneralizedQuadratic
@@ -275,11 +329,6 @@ def quadratic_embedding(theta: float, N: int) -> GeneralizedQuadratic:
     return GeneralizedQuadratic.create(
         beta=[[100.0 * theta * N * N]], gamma_coeffs=[0.0], thetas=[1.0 / (10.0 * N)]
     )
-
-
-# points per block of the battery: the kernel's dozen temporaries then stay
-# in cache (at N = 10^7 this halves the time against whole-array passes)
-_BLOCK = 1 << 14
 
 
 def correlation_battery(weights, n_max: int) -> dict:

@@ -36,6 +36,16 @@ def test_mobius_against_factorization_oracle(table_1e4):
         assert table_1e4.mobius[n] == trial_division_mu(n), n
 
 
+def test_mobius_sieve_stays_near_its_two_columns(traced_peak):
+    # mu (1 byte per n) and the int32 product of small primes (4) are the
+    # whole-length arrays; the comparison pass works in chunks of 2^16
+    N = 2 * 10**6
+    assert traced_peak(lambda: arith._mobius(N)) <= 6 * N
+    mu = arith._mobius(N)
+    for n in [n for k in range(1, N >> 16) for n in range((k << 16) - 2, (k << 16) + 2)]:
+        assert mu[n] == trial_division_mu(n), n
+
+
 def test_mobius_divisor_sums_vanish(table_1e4):
     N = 10**4
     sums = np.zeros(N + 1, dtype=np.int64)

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+from pathlib import Path
 import re
+import subprocess
+import sys
 import warnings
 
 import jsonschema
@@ -11,6 +14,7 @@ import pytest
 from hlmlab import arith, cli, linsys, obstruction
 from importlib import resources
 
+ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads(
     resources.files("hlmlab").joinpath("schemas/report.schema.json").read_text()
 )
@@ -131,6 +135,36 @@ def test_gowers_and_nilseq_subcommands(capsys, tmp_path):
     assert report["results"]["lipschitz_estimate"] > 0
 
 
+def test_nilseq_csv_stays_near_its_table(tmp_path, traced_peak):
+    # the (n, 5) table is 40 bytes a row; the orbit, F and the CSV text are
+    # made block by block (whole-length temporaries took 105 bytes a row)
+    n = 2 * 10**5
+    argv = ["nilseq", "--alpha-g", repr(math.sqrt(2)), "--beta-g", "0.1", "--gamma-g",
+            repr(math.sqrt(3)), "--n", str(n), "--format", "csv", "--out", str(tmp_path / "o.csv")]
+    assert traced_peak(lambda: cli.main(argv)) <= 40 * n + (4 << 20)
+
+
+def test_gowers_children_stay_near_the_help_child():
+    # each child's own peak RSS (ru_maxrss, KiB on Linux) against one that
+    # loads the same interpreter, numpy and hlmlab and prints the usage; with
+    # Gowers blocks of 2^20 elements the two runs read +40 MB and +31 MB
+    env = {k: v for k, v in os.environ.items() if k != "HLM_DATA_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    argvs = {"help": ["--help"], "k4": ["gowers", "--k", "4", "--m", "256"],
+             "k3": ["gowers", "--k", "3", "--m", "4096"]}
+    procs = {name: subprocess.Popen([sys.executable, "-m", "hlmlab.cli", *argv], env=env,
+                                    stdout=subprocess.DEVNULL)
+             for name, argv in argvs.items()}
+    peak_mb = {}
+    for name, proc in procs.items():
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, name
+        peak_mb[name] = usage.ru_maxrss / 1024
+    for name in ("k4", "k3"):
+        assert peak_mb[name] - peak_mb["help"] <= 16, peak_mb
+
+
 def test_count_sweep_csv_mode(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--k", "3", "--sweep", "500,1000", "--format", "csv"
@@ -248,6 +282,10 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["nilseq", "--alpha-g", "1.3", "--n", "-3"],
         ["nilseq", "--alpha-g", "nan", "--n", "5"],
         ["nilseq", "--alpha-g", "nan", "--n", "5", "--format", "csv"],
+        ["nilseq", "--alpha-g", "1e308", "--n", "5"],
+        ["nilseq", "--alpha-g", "1e308", "--n", "5", "--format", "csv"],
+        ["nilseq", "--alpha-g", "1e200", "--gamma-g", "1e200"],
+        ["nilseq", "--alpha-g", "1e200", "--gamma-g", "1e200", "--format", "csv"],
         ["expsum", "--n", "100", "--theta", "nan", "--format", "csv"],
         ["expsum", "--n", "100", "--theta", "inf"],
         ["typesums", "--n", "100", "--d", "5", "--phase", "inf"],
@@ -267,6 +305,8 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["singular", "--system", "1,-2,1", "--p-max", "-5"],
     ],
     ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
+         "nilseq-orbit-overflow", "nilseq-orbit-overflow-csv", "nilseq-product-overflow",
+         "nilseq-product-overflow-csv",
          "expsum-nan-csv", "expsum-theta-inf", "typesums-phase-inf", "arcs-thetas-inf",
          "count-cells-over-cap", "count-samples-over-cap", "count-montecarlo-past-int64",
          "count-enumeration-past-int64", "singular-non-saturated", "count-non-saturated",

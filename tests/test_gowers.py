@@ -224,12 +224,13 @@ def test_one_row_chunks_match_one_block(complex_input, monkeypatch):
 
     def run():
         # f_big at M = 300 takes many blocks of one row at _BLOCK = 1
-        return [gowers.uk_norm(f, k, m) for f, k in cases + [(f_big, 3)]
-                for m in ("fft", "recursive")]
+        return ([gowers.uk_norm(f, k, m) for f, k in cases + [(f_big, 3)]
+                 for m in ("fft", "recursive")]
+                + [gowers.uk_norm_bruteforce(f, k) for f, k in cases])
 
     monkeypatch.setattr(gowers, "_BLOCK", 2**40)  # everything in one block
     whole = run()
-    monkeypatch.setattr(gowers, "_BLOCK", 1)  # one row of M per block
+    monkeypatch.setattr(gowers, "_BLOCK", 1)  # one row of M, or one h_1, per block
     assert run() == pytest.approx(whole, rel=1e-13)
 
 
@@ -246,3 +247,15 @@ def test_routes_stay_independent(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(gowers, "_derivatives", refuse)
         gowers.uk_norm_bruteforce(f, 4)  # no derivative kernel
+
+
+def test_routes_work_in_blocks_of_2_16(traced_peak):
+    # the derivative blocks and the brute-force h_1 slices hold about 2^16
+    # values each; at _BLOCK = 2^20 these runs traced 16 to 29 MiB
+    rng = np.random.default_rng(15)
+    f3, f4 = rng.uniform(-1.0, 1.0, 4096), rng.uniform(-1.0, 1.0, 256)
+    runs = [lambda: gowers.uk_norm(f3, 3), lambda: gowers.uk_norm(f4, 4),
+            lambda: gowers.uk_norm_bruteforce(f3[:32], 3),
+            lambda: gowers.uk_norm_bruteforce(f4[:16], 4)]
+    for run in runs:
+        assert traced_peak(run) <= 4 << 20

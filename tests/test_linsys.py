@@ -1,12 +1,17 @@
 import math
+import os
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from hlmlab import linsys
 
+ROOT = Path(__file__).resolve().parents[1]
 PRIMES_TO_100 = [p for p in range(2, 101) if all(p % q for q in range(2, p))]
 
 
@@ -167,6 +172,23 @@ def test_singular_series_ap4_tracks_closed_form():
         6 * linsys.closed_form_S4(10**4), rel=1e-9
     )
     assert all(a >= 0 for a in series.local_factors.values())
+
+
+def test_tail_marks_are_the_distinct_sorted_marks():
+    for size in range(4, 201):
+        want = np.unique(np.linspace(size // 4, size - 1, 8).astype(int))
+        np.testing.assert_array_equal(linsys._tail_marks(size), want)
+
+
+def test_singular_series_leaves_numpy_ma_unimported():
+    # np.unique's first call imports numpy.ma (about 1 MB); the tail fit needs none of it
+    code = ("import sys; from hlmlab import linsys; "
+            "linsys.singular_series(linsys.ap_system(3), 1000); "
+            "assert 'numpy.ma' not in sys.modules")
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_singular_series_vanishing():

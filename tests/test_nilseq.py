@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,62 @@ def test_orbit_array_refuses_inexact_length_before_allocating(n_max):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_orbit_blocks_match_one_block(monkeypatch):
+    # every orbit fill is elementwise, so block boundaries change no bit
+    g = HeisenbergElement(math.sqrt(2), 0.1, math.sqrt(3))
+    x0 = HeisenbergPoint(0.25, 0.5, -0.125)
+    F = nilseq.TestFunction.vertical_character(2)
+
+    def run():
+        return (nilseq.orbit_array(g, x0, 1000), nilseq.eval_nilsequence(F, g, x0, 1000),
+                nilseq.nilsequence_table(F, g, x0, 1000))
+
+    monkeypatch.setattr(nilseq, "_BLOCK", 2**40)
+    orbit, seq, table = run()
+    np.testing.assert_array_equal(seq, F.evaluate(*orbit.T))
+    np.testing.assert_array_equal(table, np.column_stack([orbit, seq.real, seq.imag]))
+    monkeypatch.setattr(nilseq, "_BLOCK", 7)  # 142 whole blocks and a part
+    for got, want in zip(run(), (orbit, seq, table)):
+        np.testing.assert_array_equal(got, want)
+
+
+OVERFLOWING = {
+    "x-overflow": HeisenbergElement(1e308, 0.0, 0.0),
+    "product-overflow": HeisenbergElement(1e200, 0.0, 1e200),
+    "split-overflow": HeisenbergElement(1e301, 0.0, 0.0),
+    "y-overflow": HeisenbergElement(1.0, 1e307, 0.0),
+    "nan": HeisenbergElement(math.nan, 0.0, 0.0),
+    "inf": HeisenbergElement(1.0, 0.0, math.inf),
+}
+
+
+@pytest.mark.parametrize("g", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_orbit_refuses_an_overflowing_g_before_allocating(g, traced_peak):
+    F = nilseq.TestFunction.torus_character(1, 1)
+    fills = (lambda: nilseq.orbit_array(g, ORIGIN, 10**6),
+             lambda: nilseq.eval_nilsequence(F, g, ORIGIN, 10**6),
+             lambda: nilseq.nilsequence_table(F, g, ORIGIN, 10**6))
+    for fill in fills:
+        def refuse():
+            with pytest.raises(ValueError, match="finite|overflows"):
+                fill()
+        assert traced_peak(refuse) < 1 << 16  # each output would take 16 MB or more
+
+
+def test_orbit_of_a_huge_finite_g_stays_finite():
+    # huge but inside every bound: no overflow, no warning, every value reduced
+    F = nilseq.TestFunction.vertical_character(1)
+    cases = ((HeisenbergElement(1e300, 0.0, 0.0), 5),
+             (HeisenbergElement(1e10, 3.0, 1e140), 10**5),
+             (HeisenbergElement(-1e150, -1e150, 1e150), 100))
+    for g, n_max in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = nilseq.nilsequence_table(F, g, ORIGIN, n_max)
+        assert np.isfinite(table).all()
+        assert (table[:, :2] >= 0.0).all() and (table[:, :2] < 1.0).all()
 
 
 def test_battery_on_support_matches_full_length(table_1e6, rng):
