@@ -1,8 +1,9 @@
 """Acceptance suite: eleven numbered checks with frozen tolerances.
 
 Each item measures the quantities it gates and reports them alongside
-the verdict, so a failure names the value that broke the gate. Items
-share one cached N = 10^6 arithmetic table. run_all returns the
+the verdict, so a failure names the value that broke the gate. Every
+item takes the one N = 10^6 arithmetic table that run_all gets from
+arith.table and reads only the columns it needs. run_all returns the
 results and prints one PASS/FAIL line per item; the CLI maps any
 failure to exit code 3.
 
@@ -45,29 +46,14 @@ def _fmt(v):
     return str(v)
 
 
-class _Context:
-    """Caches the big sieve table across items."""
-
-    def __init__(self):
-        self._tables: dict[int, arith.ArithTable] = {}
-
-    def table(self, N: int) -> arith.ArithTable:
-        for limit, tab in self._tables.items():
-            if limit >= N:
-                return tab
-        tab = arith.build_table(N)
-        self._tables[N] = tab
-        return tab
-
-
-def a1_singular_constants(ctx) -> tuple[bool, dict]:
+def a1_singular_constants(tab) -> tuple[bool, dict]:
     s3 = linsys.closed_form_S3(10**6)
     s4 = linsys.closed_form_S4(10**6)
     ok = abs(s3 - 0.3301) <= 2e-4 and abs(s4 - 0.4764) <= 2e-4
     return ok, {"S3": s3, "S4": s4}
 
 
-def a2_local_factor_oracle(ctx) -> tuple[bool, dict]:
+def a2_local_factor_oracle(tab) -> tuple[bool, dict]:
     ok = True
     checked = 0
     for p in range(2, 101):
@@ -88,8 +74,7 @@ def a2_local_factor_oracle(ctx) -> tuple[bool, dict]:
     return bool(ok), {"primes_checked": checked}
 
 
-def a3_weighted_3ap(ctx) -> tuple[bool, dict]:
-    tab = ctx.table(10**6)
+def a3_weighted_3ap(tab) -> tuple[bool, dict]:
     target = 4.0 * linsys.closed_form_S3(10**6)  # = S(A3) ~ 1.3203
     w6 = counting.weighted_ap_average(tab, 10**6, 3)
     w4 = counting.weighted_ap_average(tab, 10**4, 3)
@@ -98,8 +83,7 @@ def a3_weighted_3ap(ctx) -> tuple[bool, dict]:
     return ok, {"avg_1e6": w6, "target": target, "ratio_1e6": r6, "ratio_1e4": r4}
 
 
-def a4_unweighted_counts(ctx) -> tuple[bool, dict]:
-    tab = ctx.table(10**6)
+def a4_unweighted_counts(tab) -> tuple[bool, dict]:
     small_ok = (
         counting.count_ap_primes(tab, 20, 3) == 5
         and counting.count_ap_primes(tab, 10, 3) == 1
@@ -120,8 +104,8 @@ def a4_unweighted_counts(ctx) -> tuple[bool, dict]:
     }
 
 
-def a5_exp_sum_spots(ctx) -> tuple[bool, dict]:
-    lam = ctx.table(10**6).vonmangoldt[1 : 10**6 + 1]
+def a5_exp_sum_spots(tab) -> tuple[bool, dict]:
+    lam = tab.vonmangoldt[1 : 10**6 + 1]
     s0 = fourier.exp_sum(lam, 0.0)
     s12 = fourier.exp_sum(lam, 0.5)
     s13 = fourier.exp_sum(lam, 1.0 / 3.0)
@@ -133,14 +117,13 @@ def a5_exp_sum_spots(ctx) -> tuple[bool, dict]:
     return ok, {"S0": abs(s0), "S_half": abs(s12), "S_third": abs(s13)}
 
 
-def a6_davenport_decay(ctx) -> tuple[bool, dict]:
-    tab = ctx.table(10**6)
+def a6_davenport_decay(tab) -> tuple[bool, dict]:
     sups = [fourier.sup_exp_sum(tab.mobius[1 : N + 1], 4)[1] for N in (10**4, 10**5, 10**6)]
     ok = sups[0] > sups[1] > sups[2] and sups[2] <= 0.01
     return ok, {"sup_1e4": sups[0], "sup_1e5": sups[1], "sup_1e6": sups[2]}
 
 
-def a7_gowers_cross_method(ctx) -> tuple[bool, dict]:
+def a7_gowers_cross_method(tab) -> tuple[bool, dict]:
     rng = np.random.default_rng(2024)
     worst = 0.0
     for trial in range(200):
@@ -162,7 +145,7 @@ def a7_gowers_cross_method(ctx) -> tuple[bool, dict]:
     return ok, {"cross_method_worst": worst, "fourier_identity_worst": ident_worst}
 
 
-def a8_inequalities(ctx) -> tuple[bool, dict]:
+def a8_inequalities(tab) -> tuple[bool, dict]:
     rng = np.random.default_rng(4096)
     M = 101
     gvn_margin = math.inf
@@ -183,7 +166,7 @@ def a8_inequalities(ctx) -> tuple[bool, dict]:
     return ok, {"gvn_min_margin": gvn_margin, "inverse_u2_min_margin": inv_margin}
 
 
-def a9_heisenberg_orbit(ctx) -> tuple[bool, dict]:
+def a9_heisenberg_orbit(tab) -> tuple[bool, dict]:
     rng = np.random.default_rng(99)
     checkpoints = {1, 10, 100, 1000, 10**4}
     draws = rng.uniform(-2.0, 2.0, (100, 3))
@@ -202,7 +185,7 @@ def a9_heisenberg_orbit(ctx) -> tuple[bool, dict]:
     return worst <= 1e-8, {"worst_coordinate_gap": worst}
 
 
-def a10_obstruction_contrast(ctx) -> tuple[bool, dict]:
+def a10_obstruction_contrast(tab) -> tuple[bool, dict]:
     # one report: the 4-AP ratio and the completion share one pair of AP sums
     report = obstruction.stats_report(obstruction.build("A1", 10**5, 0.1))
     bias, ratio4 = report["bias"], report["ratios"]["ap4"]
@@ -217,8 +200,7 @@ def a10_obstruction_contrast(ctx) -> tuple[bool, dict]:
     }
 
 
-def a11_mobius_nilsequences(ctx) -> tuple[bool, dict]:
-    tab = ctx.table(10**6)
+def a11_mobius_nilsequences(tab) -> tuple[bool, dict]:
     small = nilseq.correlation_battery(tab.mobius[1 : 10**3 + 1], 10**3)
     big = nilseq.correlation_battery(tab.mobius[1 : 10**6 + 1], 10**6)
     ok = True
@@ -246,13 +228,13 @@ CRITERIA = [
 
 def run_all(only: str | None = None) -> list[CriterionResult]:
     """Run the acceptance items (optionally filtered by id or tag)."""
-    ctx = _Context()
+    tab = arith.table(10**6)
     results = []
     for cid, title, tags, fn in CRITERIA:
         if only and only.lower() != cid.lower() and only.lower() not in tags:
             continue
         t0 = time.time()
-        passed, measured = fn(ctx)
+        passed, measured = fn(tab)
         res = CriterionResult(cid, title, passed, measured, time.time() - t0)
         results.append(res)
         print(res.line())

@@ -11,7 +11,11 @@ Provides:
   it, the classes 1 and 5 mod 6 and the powers of 2 and 3; the
   Lambda-weighted AP averages read it in place of the column
 - balanced function of a set, 1_A - |A|/N
-- binary dump/load of tables (magic "HLM1", little-endian)
+- binary dump/load of tables (magic "HLM1", little-endian), or a load of
+  the N-prefix of a table with a larger limit
+- table: the one table path of the CLI and the acceptance suite; with
+  HLM_DATA_DIR set, a run reads the smallest cached table whose limit is
+  at least N, as a prefix, and otherwise builds and caches table_<N>.bin
 
 Conventions:
     mu(1) = 1, mu(n) = 0 iff a square divides n
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
 import os
+import re
 import struct
 import weakref
 
@@ -247,10 +252,11 @@ def dump_table(table: ArithTable, path) -> None:
         fh.write(np.asarray(table.vonmangoldt[1:], dtype="<f8"))
 
 
-def load_table(path) -> ArithTable:
+def load_table(path, N=None) -> ArithTable:
     """Inverse of dump_table; validates the magic and the payload size
     before any column is allocated, then reads each column from the open
-    file when it is first read."""
+    file when it is first read. With N given, the table is the file's
+    N-prefix, equal to build_table(N) byte for byte."""
     fh = open(path, "rb", buffering=0)
     try:
         head = fh.read(12)
@@ -258,32 +264,72 @@ def load_table(path) -> ArithTable:
             raise ValueError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
         if len(head) < 12:
             raise ValueError(f"header is {len(head)} bytes, expected 12")
-        (N,) = struct.unpack("<Q", head[4:])
+        (limit,) = struct.unpack("<Q", head[4:])
         size = os.fstat(fh.fileno()).st_size - 12
-        if size != 10 * N:
-            raise ValueError(f"payload is {size} bytes, expected {10 * N}")
+        if size != 10 * limit:
+            raise ValueError(f"payload is {size} bytes, expected {10 * limit}")
+        N = limit if N is None else N
+        if not 1 <= N <= limit:
+            raise ValueError(f"N={N} is outside the file's limits [1, {limit}]")
     except BaseException:
         fh.close()
         raise
-    return _LoadedTable(int(N), fh)
+    return _LoadedTable(int(N), fh, limit)
+
+
+def table(N: int) -> ArithTable:
+    """build_table(N), or with $HLM_DATA_DIR set, the N-prefix of the
+    smallest table_<M>.bin there with M >= N; with none there (a missing
+    directory counts as empty), build_table(N) dumped to table_<N>.bin."""
+    cache_dir = os.environ.get("HLM_DATA_DIR")
+    if not cache_dir:
+        return build_table(N)
+    # Freeing a large mmapped block raises glibc's mmap and trim
+    # thresholds, so the kernels' per-block temporaries are then reused
+    # from the heap, not faulted in again on every block (mobius-corr at
+    # N = 2e6: 6k page faults against 129k). Nothing this path keeps is
+    # that large and freed, so it frees one untouched block of the
+    # file's size, which costs no memory; glibc ignores a block past
+    # 32 MiB, so the block stops at 31 MiB.
+    np.empty(min(12 + 10 * N, 31 << 20), dtype=np.uint8)
+    names = os.listdir(cache_dir) if os.path.isdir(cache_dir) else []
+    # a concurrent writer's table_<N>.bin.<pid>.tmp never matches
+    matches = [re.fullmatch(r"table_(\d+)\.bin", name) for name in names]
+    limits = [int(m[1]) for m in matches if m and int(m[1]) >= N]
+    if limits:
+        return load_table(os.path.join(cache_dir, f"table_{min(limits)}.bin"), N)
+    tab = build_table(N)
+    os.makedirs(cache_dir, exist_ok=True)
+    path = os.path.join(cache_dir, f"table_{N}.bin")
+    # a concurrent run sees either no table or a whole one, never a part
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        dump_table(tab, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return tab
 
 
 class _LoadedTable(ArithTable):
-    """A table whose columns are read from an HLM1 file. The file stays
-    open (and closes with the table), so each read sees the file that
-    load_table checked, even if its path has since been replaced."""
+    """A table whose columns are the first `limit` entries of an HLM1
+    file's columns of `stride` entries each. The file stays open (and
+    closes with the table), so each read sees the file that load_table
+    checked, even if its path has since been replaced."""
 
-    def __init__(self, limit: int, fh):
+    def __init__(self, limit: int, fh, stride: int):
         super().__init__(limit)
         self._fh = fh
+        self._stride = stride
         weakref.finalize(self, fh.close)
 
     def _read(self, index: int, dtype) -> np.ndarray:
-        """Payload column `index` (0, 1 or 2) read straight into its array."""
+        """Payload column `index` (0, 1 or 2) on [0, limit], read into its array."""
         col = np.empty(self.limit + 1, dtype=dtype)
         col[0] = 0
         out = col[1:].view(np.uint8)
-        self._fh.seek(12 + index * self.limit)  # the 1-byte columns come first
+        self._fh.seek(12 + index * self._stride)  # the 1-byte columns come first
         done = 0
         while done < out.size:
             got = self._fh.readinto(out[done:])

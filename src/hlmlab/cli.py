@@ -12,7 +12,9 @@ module is the only writer of both formats; a report holding a NaN or an
 infinity is a validation error, raised before any --out file is opened.
 
 Config file: key=value lines loaded before flag parsing; flags win.
-HLM_DATA_DIR, when set, caches sieve tables as table_<N>.bin.
+HLM_DATA_DIR, when set, caches sieve tables as table_<N>.bin: a run reads
+the smallest cached table whose limit is at least N, as a prefix, and
+otherwise sieves and caches its own (arith.table).
 
 Exit codes: 0 success, 1 usage error or unreadable/unwritable file,
 2 validation error (degenerate system, bad parameter, work past a cap,
@@ -26,7 +28,6 @@ import csv
 import datetime
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -103,34 +104,6 @@ def _jsonable(v):
     raise TypeError(f"not JSON-serializable: {type(v)}")
 
 
-def _cached_table(N: int) -> arith.ArithTable:
-    cache_dir = os.environ.get("HLM_DATA_DIR")
-    if cache_dir:
-        # Freeing a large mmapped block raises glibc's mmap and trim
-        # thresholds, so the kernels' per-block temporaries are then reused
-        # from the heap, not faulted in again on every block (mobius-corr at
-        # N = 2e6: 6k page faults against 129k). Nothing this path keeps is
-        # that large and freed, so it frees one untouched block of the
-        # file's size, which costs no memory; glibc ignores a block past
-        # 32 MiB, so the block stops at 31 MiB.
-        np.empty(min(12 + 10 * N, 31 << 20), dtype=np.uint8)
-        path = os.path.join(cache_dir, f"table_{N}.bin")
-        if os.path.exists(path):
-            return arith.load_table(path)
-        tab = arith.build_table(N)
-        os.makedirs(cache_dir, exist_ok=True)
-        # a concurrent run sees either no table or a whole one, never a part
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            arith.dump_table(tab, tmp)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        return tab
-    return arith.build_table(N)
-
-
 def _weights(tab: arith.ArithTable, name: str, N: int) -> np.ndarray:
     """The named column on [1, N] as the table stores it (mu stays int8);
     only that column is read."""
@@ -138,7 +111,7 @@ def _weights(tab: arith.ArithTable, name: str, N: int) -> np.ndarray:
 
 
 def cmd_sieve(args) -> int:
-    tab = _cached_table(args.n)
+    tab = arith.table(args.n)
     if args.dump:
         arith.dump_table(tab, args.dump)
     results = {
@@ -153,7 +126,7 @@ def cmd_sieve(args) -> int:
 
 def cmd_expsum(args) -> int:
     _finite_phases("--theta", args.theta)
-    tab = _cached_table(args.n)
+    tab = arith.table(args.n)
     w = _weights(tab, args.weights, args.n)
     rows = []
     for theta in args.theta:
@@ -197,7 +170,7 @@ def cmd_typesums(args) -> int:
         f = np.exp(2j * np.pi * frac01(args.phase * n))
         kind = f"e({args.phase}*n)"
     else:
-        f = _weights(_cached_table(args.n), args.weights, args.n)
+        f = _weights(arith.table(args.n), args.weights, args.n)
         kind = args.weights
     results = {"f": kind, "type1": fourier.type1_max(f, args.d)}
     if args.w:
@@ -231,7 +204,7 @@ def cmd_count(args) -> int:
     ns = [int(v) for v in args.sweep.split(",")] if args.sweep else [args.n]
     if args.n is None and not args.sweep:
         raise ValueError("need --n or --sweep")
-    tab = _cached_table(max(ns))
+    tab = arith.table(max(ns))
     reports = []
     for n in ns:
         if args.system:
@@ -271,7 +244,7 @@ def cmd_gowers(args) -> int:
             raise ValueError("input CSV must be a single column")
         f = f[:, 0]
     elif args.weights:
-        f = _weights(_cached_table(args.m), args.weights, args.m)
+        f = _weights(arith.table(args.m), args.weights, args.m)
     else:
         rng = np.random.default_rng(args.seed)
         f = rng.uniform(-1.0, 1.0, args.m)
@@ -329,7 +302,7 @@ def _numeric_csv(table: np.ndarray):
 
 
 def cmd_mobius_corr(args) -> int:
-    tab = _cached_table(args.n)
+    tab = arith.table(args.n)
     battery = nilseq.correlation_battery(tab.mobius[1 : args.n + 1], args.n)
     params = {"N": args.n}
     _emit(
@@ -526,11 +499,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except linsys.DegenerateSystem as exc:
-        print(f"validation error: {exc.reason}", file=sys.stderr)
-        return 2
-    except (ValueError, arith.CapacityError, counting.FreeRankTooLarge,
-            linsys.EnumerationTooLarge) as exc:
+    except ValueError as exc:  # CapacityError, DegenerateSystem and the caps among them
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's "Unable to allocate ..." among them

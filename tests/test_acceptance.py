@@ -16,38 +16,32 @@ test_a4_small_counts. Every other item passes.
 import math
 
 import numpy as np
-import pytest
 
 from hlmlab import acceptance, counting, linsys
 
 
-@pytest.fixture(scope="module")
-def ctx():
-    return acceptance._Context()
-
-
-def _run(ctx, cid):
+def _run(tab, cid):
     entry = next(c for c in acceptance.CRITERIA if c[0] == cid)
-    passed, measured = entry[3](ctx)
+    passed, measured = entry[3](tab)
     res = acceptance.CriterionResult(cid, entry[1], passed, measured)
     print(res.line())
     return res
 
 
-def test_a1_singular_constants(ctx):
-    assert _run(ctx, "A1").passed
+def test_a1_singular_constants(table_1e6):
+    assert _run(table_1e6, "A1").passed
 
 
-def test_a2_local_factor_oracle(ctx):
-    assert _run(ctx, "A2").passed
+def test_a2_local_factor_oracle(table_1e6):
+    assert _run(table_1e6, "A2").passed
 
 
-def test_a3_weighted_3ap(ctx):
-    assert _run(ctx, "A3").passed
+def test_a3_weighted_3ap(table_1e6):
+    assert _run(table_1e6, "A3").passed
 
 
-def test_a4_small_counts(ctx):
-    tab = ctx.table(10**6)
+def test_a4_small_counts(table_1e6):
+    tab = table_1e6
     assert counting.count_ap_primes(tab, 20, 3) == 5
     assert counting.count_ap_primes(tab, 10, 3) == 1
     assert counting.count_ap_primes(tab, 23, 4) == 1
@@ -94,9 +88,9 @@ def _and_4ap_count(is_prime, N):
     return total
 
 
-def test_a4_ratio_gate(ctx):
+def test_a4_ratio_gate(table_1e6):
     N = 10**5
-    res = _run(ctx, "A4")
+    res = _run(table_1e6, "A4")
     m = res.measured
     c3, c4 = m["count3_1e5"], m["count4_1e5"]
 
@@ -118,7 +112,7 @@ def test_a4_ratio_gate(ctx):
     )
 
     # the counts agree with two independent counts on the same sieve
-    isp = ctx.table(10**6).is_prime
+    isp = table_1e6.is_prime
     assert c3 == _fft_3ap_count(isp, N), "A4's 3-AP count disagrees with the FFT count"
     assert c4 == _and_4ap_count(isp, N), "A4's 4-AP count disagrees with the AND-loop count"
 
@@ -135,38 +129,38 @@ def test_a4_ratio_gate(ctx):
     )
 
 
-def test_a5_exp_sum_spots(ctx):
-    assert _run(ctx, "A5").passed
+def test_a5_exp_sum_spots(table_1e6):
+    assert _run(table_1e6, "A5").passed
 
 
-def test_a6_davenport_decay(ctx):
-    assert _run(ctx, "A6").passed
+def test_a6_davenport_decay(table_1e6):
+    assert _run(table_1e6, "A6").passed
 
 
-def test_a7_gowers_cross_method(ctx):
-    assert _run(ctx, "A7").passed
+def test_a7_gowers_cross_method(table_1e6):
+    assert _run(table_1e6, "A7").passed
 
 
-def test_a8_inequality_suites(ctx):
-    assert _run(ctx, "A8").passed
+def test_a8_inequality_suites(table_1e6):
+    assert _run(table_1e6, "A8").passed
 
 
-def test_a9_heisenberg_orbit(ctx):
-    assert _run(ctx, "A9").passed
+def test_a9_heisenberg_orbit(table_1e6):
+    assert _run(table_1e6, "A9").passed
 
 
-def test_a10_obstruction_contrast(ctx):
-    assert _run(ctx, "A10").passed
+def test_a10_obstruction_contrast(table_1e6):
+    assert _run(table_1e6, "A10").passed
 
 
-def test_a11_mobius_nilsequence_decay(ctx):
-    assert _run(ctx, "A11").passed
+def test_a11_mobius_nilsequence_decay(table_1e6):
+    assert _run(table_1e6, "A11").passed
 
 
-def test_a10_fails_without_completion_probability(ctx, monkeypatch):
+def test_a10_fails_without_completion_probability(table_1e6, monkeypatch):
     # stats_report reports None when too few triples condition the completion
     report = {"bias": 0.0, "ratios": {"ap4": 3.0}, "completion_prob": None}
     monkeypatch.setattr(acceptance.obstruction, "build", lambda *args: None)
     monkeypatch.setattr(acceptance.obstruction, "stats_report", lambda obset: report)
-    res = _run(ctx, "A10")
+    res = _run(table_1e6, "A10")
     assert not res.passed and res.measured["completion_prob"] is None

@@ -205,6 +205,35 @@ def test_dump_load_roundtrip(tmp_path, table_1e4):
     assert again.read_bytes() == raw
 
 
+def test_load_reads_a_prefix_of_a_larger_file(tmp_path, table_1e4):
+    path = tmp_path / "table.bin"
+    arith.dump_table(table_1e4, path)
+    fresh = arith.build_table(1000)
+    prefix = arith.load_table(path, 1000)
+    assert prefix.limit == 1000
+    for name in ("is_prime", "mobius", "vonmangoldt"):
+        assert getattr(prefix, name).tobytes() == getattr(fresh, name).tobytes()
+    arith.dump_table(prefix, tmp_path / "prefix.bin")
+    arith.dump_table(fresh, tmp_path / "fresh.bin")
+    assert (tmp_path / "prefix.bin").read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+
+
+def test_prefix_load_refuses_past_the_file_and_reads_only_the_prefix(
+        tmp_path, table_1e4, traced_peak):
+    path = tmp_path / "table.bin"
+    arith.dump_table(table_1e4, path)
+    for N in (10**4 + 1, 0):
+        def load():
+            with pytest.raises(ValueError):
+                arith.load_table(path, N)
+
+        assert traced_peak(load) < 1 << 16  # refused before any column is made
+    N = 5000  # the whole column would trace 10^4 bytes
+    tab = arith.load_table(path, N)
+    assert traced_peak(lambda: tab.mobius) <= 1.2 * (N + 1)
+    assert np.array_equal(tab.mobius, table_1e4.mobius[: N + 1])
+
+
 def test_load_rejects_corruption(tmp_path, table_1e4):
     path = tmp_path / "t.bin"
     arith.dump_table(table_1e4, path)

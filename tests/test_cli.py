@@ -344,13 +344,30 @@ def test_memory_error_ends_in_one_validation_error(capsys, monkeypatch, exc):
 
 
 def test_data_dir_cache(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("HLM_DATA_DIR", str(cache_dir))
     report_first = run_json(capsys, "sieve", "--n", "2000")
-    cache = tmp_path / "table_2000.bin"
+    cache = cache_dir / "table_2000.bin"
     assert cache.exists()
     report_second = run_json(capsys, "sieve", "--n", "2000")
     assert report_first["results"] == report_second["results"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["table_2000.bin"]
+    assert sorted(p.name for p in cache_dir.iterdir()) == ["table_2000.bin"]
+    # a smaller N reads a prefix of the cached table and caches nothing more
+    for argv in (["sieve", "--n", "1000"], ["gowers", "--m", "64", "--k", "3", "--weights", "mobius"]):
+        cached = run_json(capsys, *argv)
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["table_2000.bin"]
+        with monkeypatch.context() as m:
+            m.delenv("HLM_DATA_DIR")
+            assert run_json(capsys, *argv)["results"] == cached["results"]
+    dump = tmp_path / "dump.bin"
+    run_json(capsys, "sieve", "--n", "1000", "--dump", str(dump))
+    arith.dump_table(arith.build_table(1000), tmp_path / "fresh.bin")
+    assert dump.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+    # a concurrent writer's partial file is never read as a cached table
+    (cache_dir / "table_3000.bin.123.tmp").write_bytes(b"partial")
+    run_json(capsys, "sieve", "--n", "2500")
+    assert sorted(p.name for p in cache_dir.iterdir()) == [
+        "table_2000.bin", "table_2500.bin", "table_3000.bin.123.tmp"]
 
 
 def test_data_dir_cache_failed_dump_leaves_no_table(capsys, tmp_path, monkeypatch):
