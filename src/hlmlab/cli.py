@@ -204,11 +204,11 @@ def cmd_count(args) -> int:
     ns = [int(v) for v in args.sweep.split(",")] if args.sweep else [args.n]
     if args.n is None and not args.sweep:
         raise ValueError("need --n or --sweep")
+    system = linsys.parse_system(args.system) if args.system else None
     tab = arith.table(max(ns))
     reports = []
     for n in ns:
-        if args.system:
-            system = linsys.parse_system(args.system)
+        if system:
             rep = counting.generic_count(
                 tab, system, n, mode=args.mode, samples=args.samples, seed=args.seed
             )

@@ -22,6 +22,9 @@ and z (W = 2), each class one equation_sum on (-1, 1, 1), about N long;
 otherwise a walk over d, from the support of f_1 when a real f_1 has
 fewer nonzeros than there are d-steps and with whole-array products
 otherwise. The class parts take these same routes on the class arrays.
+Every walk ends in one product kernel, _product_sum: the terms of a
+family of progressions, as aligned slices, multiplied in place into one
+buffer per walk and counted (bool) or summed (real).
 
   * count_ap_primes: exact number of p_1 < ... < p_k <= N in arithmetic
     progression (genuine primes, strictly increasing), ap_sum of the
@@ -52,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import ArithTable, CapacityError, vonmangoldt_classes
-from .linsys import (LinearSystem, _bareiss, ap_system, closed_form_S3, closed_form_S4,
+from .linsys import (LinearSystem, _bareiss, _digits, ap_system, closed_form_S3, closed_form_S4,
                      primitive_system, singular_series)
 
 WORK_CAP = 10**8  # exact cells or Monte Carlo samples in one generic_count
@@ -194,7 +197,8 @@ def ap_sum(fs):
     transform about as long as its input; a non-bool input whose fs[0]
     has fewer nonzeros on its anchor range than there are d-steps is
     summed from that support, one strided product per anchor; every
-    other case walks d with whole-array products.
+    other case walks d with whole-array products. Each product, on every
+    route, is one _product_sum call.
     """
     fs = [np.asarray(f) for f in fs]
     k = len(fs)
@@ -270,12 +274,8 @@ def _off_class_walk(views, exact: bool):
     d; those few progressions are looked up term by term.
     """
     k, N = len(views), views[0].N
-    if exact:
-        def dot(a, b):
-            return int(np.count_nonzero(a & b))
-    else:
-        def dot(a, b):  # np.dot would copy a slice with a negative stride
-            return float(np.einsum("i,i->", a, b))
+    # d <= (N - 1) // (k - 1), so a class walk d = e + 6t, e >= 1, has at most this many terms
+    buf = np.empty(((N - 1) // (k - 1) + 5) // 6, dtype=bool if exact else np.float64)
     total = 0 if exact else 0.0
     for i, v in enumerate(views):
         for r, val in zip(v.R.tolist(), v.values.tolist()):
@@ -288,10 +288,7 @@ def _off_class_walk(views, exact: bool):
                 T = (dmax - e) // 6 + 1
                 parts = [_strided(views[j].classes[n % 6 == 5], n // 6, j - i, T)
                          for j, n in enumerate(starts) if j != i]
-                head = parts[0]
-                for part in parts[1:-1]:
-                    head = head * part
-                total += val * dot(head, parts[-1])
+                total += val * _product_sum(parts, buf)
         if i < k - 1:
             total += _pinned_walk(views, i, exact)
     return total
@@ -322,11 +319,9 @@ def _pinned_walk(views, i: int, exact: bool):
         n = r + (j - i) * d
         ok &= (n % 2 == 1) & (n % 3 != 0)
     idx, r, d = idx[ok], r[ok], d[ok]
-    prod = views[i].values[idx]
-    for j in range(k):
-        if j != i:
-            prod = prod * _lookup(views[j], r + (j - i) * d)
-    return int(np.count_nonzero(prod)) if exact else float(prod.sum())
+    parts = [views[i].values[idx]] + [_lookup(views[j], r + (j - i) * d)
+                                      for j in range(k) if j != i]
+    return _product_sum(parts, np.empty(idx.size, dtype=bool if exact else np.float64))
 
 
 def _lookup(view, n):
@@ -366,12 +361,11 @@ def _parity_sum(f, g, exact: bool):
     even, odd = f[1::2], f[2::2]
     both = (equation_sum((-1, 1, 1), (g, even, even))
             + equation_sum((-1, 1, 1), (g[1:], odd, odd)))
-    ends = g[1 : odd.size + 1]
-    if exact:  # f[:1] is f(1), or empty when N = 0
-        start = int(np.count_nonzero(f[:1] & ends & odd))
-        return (both - int(np.count_nonzero(f[1:] & g[1:]))) // 2 + start
-    start = float(f[:1].sum()) * float(np.dot(ends, odd))
-    return (both - float(np.dot(f[1:] * f[1:], g[1:]))) / 2.0 + start
+    buf = np.empty(max(f.size - 1, 0), dtype=bool if exact else np.float64)
+    # f[:1] is f(1), or empty when N = 0
+    start = f[:1].sum().item() * _product_sum([g[1 : odd.size + 1], odd], buf)
+    diagonal = _product_sum([f[1:], f[1:], g[1:]], buf)
+    return ((both - diagonal) // 2 if exact else (both - diagonal) / 2.0) + start
 
 
 def _walk(fs, exact: bool):
@@ -391,32 +385,36 @@ def _walk(fs, exact: bool):
 def _dense_walk(fs, steps, exact: bool):
     """ap_sum over each d in steps, with whole-array products."""
     k, N = len(fs), fs[0].size
-    acc = np.empty(N, dtype=bool if exact else np.float64)
+    buf = np.empty(max(N - k + 1, 0), dtype=bool if exact else np.float64)
     total = 0 if exact else 0.0
     for d in steps:
         L = N - (k - 1) * d
-        prod = acc[:L]
-        np.multiply(fs[0][:L], fs[1][d : d + L], out=prod, dtype=prod.dtype)
-        for j in range(2, k):
-            np.multiply(prod, fs[j][j * d : j * d + L], out=prod, dtype=prod.dtype)
-        total += np.count_nonzero(prod) if exact else float(prod.sum())
-    return int(total) if exact else total
+        total += _product_sum([f[j * d : j * d + L] for j, f in enumerate(fs)], buf)
+    return total
 
 
 def _support_walk(fs, anchors) -> float:
     """ap_sum from the support of fs[0]: for each anchor x, the strided
     product of fs[j][x + j m] over m >= 1, summed, times fs[0][x]."""
     k, N = len(fs), fs[0].size
-    acc = np.empty((N - 1) // (k - 1), dtype=np.float64)
+    buf = np.empty((N - 1) // (k - 1), dtype=np.float64)
     total = 0.0
     for x in anchors.tolist():
         M = (N - 1 - x) // (k - 1)
-        prod = acc[:M]
-        prod[:] = fs[1][x + 1 : x + M + 1]
-        for j in range(2, k):
-            np.multiply(prod, fs[j][x + j : x + j * M + 1 : j], out=prod)
-        total += float(fs[0][x]) * float(prod.sum())
+        parts = [f[x + j : x + j * M + 1 : j] for j, f in enumerate(fs) if j]
+        total += float(fs[0][x]) * _product_sum(parts, buf)
     return total
+
+
+def _product_sum(parts, buf):
+    """The sum over m of prod_j parts[j][m]: the two or more 1-D arrays of
+    one length L are multiplied in place into buf[:L]. A bool buf gives
+    the number of nonzero products as an int, any other buf their float sum."""
+    prod = buf[: parts[0].size]
+    np.multiply(parts[0], parts[1], out=prod, dtype=prod.dtype)
+    for part in parts[2:]:
+        np.multiply(prod, part, out=prod, dtype=prod.dtype)
+    return int(np.count_nonzero(prod)) if prod.dtype == bool else float(prod.sum())
 
 
 def count_ap_primes(table: ArithTable, N: int, k: int) -> int:
@@ -454,9 +452,10 @@ def weighted_ap_average(table: ArithTable, N: int, k: int) -> float:
     classes, R, values = vonmangoldt_classes(table.is_prime, N)
     lam = _View(N, classes, R, values)
     total = 2.0 * _class_split((lam,) * k, False)  # d < 0 mirrors d > 0
-    for nz in (*(c[c != 0] for c in classes), values):  # d = 0, on the prime powers
-        sq = nz * nz
-        total += float(np.dot(sq, sq if k == 4 else nz))
+    powers = (*(c[c != 0] for c in classes), values)  # d = 0, on the prime powers
+    buf = np.empty(max(nz.size for nz in powers))
+    for nz in powers:
+        total += _product_sum([nz] * k, buf)
     return total / (N + 2 * ap_cells(N, k))
 
 
@@ -561,12 +560,7 @@ def _enumerate_counts(table: ArithTable, system: LinearSystem, N: int, mode: str
     for start in range(0, work, _CHUNK):
         stop = min(start + _CHUNK, work)
         if mode == "exact":
-            flat = np.arange(start, stop, dtype=np.int64)
-            xf = np.empty((free_rank, flat.size), dtype=np.int64)
-            rem = flat
-            for i in range(free_rank - 1, -1, -1):
-                xf[i] = rem % N + 1
-                rem = rem // N
+            xf = _digits(start, stop, N, free_rank) + 1
         else:
             xf = rng.integers(1, N + 1, size=(free_rank, stop - start), dtype=np.int64)
         xb_scaled = solve @ xf

@@ -143,13 +143,13 @@ def uk_norm_bruteforce(f, k: int) -> float:
     return max(total / M ** (k + 1), 0.0) ** (1.0 / 2**k)
 
 
-def ap_average(fs, M: int | None = None) -> complex:
+def ap_average(fs) -> complex:
     """E_{x,d in Z/M} prod_i f_i(x + (i-1)d) for k = len(fs) functions."""
     vs = [_as_vector(f) for f in fs]
     k = len(vs)
     if k < 2:
         raise ValueError("need at least two functions")
-    M = vs[0].size if M is None else M
+    M = vs[0].size
     if any(v.size != M for v in vs):
         raise ValueError("all functions must live on the same Z/M")
     if math.gcd(M, math.factorial(k - 1)) != 1:

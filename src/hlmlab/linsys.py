@@ -191,22 +191,25 @@ def _local_factor_enumerate(system: LinearSystem, p: int) -> Fraction:
         raise EnumerationTooLarge(
             f"null space has p^{m} = {p**m} points, cap is {ENUMERATION_CAP}"
         )
-    # x_piv = -R[:, free] @ x_free mod p, enumerated in column blocks
+    # x_piv = -R[:, free] @ x_free mod p, enumerated in blocks of the flat index
     coef = np.array([[R[i][c] for c in free_cols] for i in range(rank)], dtype=np.int64)
-    total = p**m
+    total, block = p**m, 1 << 16
     nonzero = 0
-    block = 1 << 20
-    grid = np.indices((p,) * m).reshape(m, -1) if m else np.zeros((0, 1), dtype=np.int64)
-    for lo in range(0, grid.shape[1], block):
-        xf = grid[:, lo : lo + block]
-        xp = (-coef @ xf) % p if rank else np.zeros((0, xf.shape[1]), dtype=np.int64)
-        ok = np.ones(xf.shape[1], dtype=bool)
-        if m:
-            ok &= (xf != 0).all(axis=0)
-        if rank:
-            ok &= (xp != 0).all(axis=0)
-        nonzero += int(ok.sum())
+    for lo in range(0, total, block):
+        xf = _digits(lo, min(lo + block, total), p, m)
+        xp = (-coef @ xf) % p
+        nonzero += int(np.count_nonzero((xf != 0).all(axis=0) & (xp != 0).all(axis=0)))
     return (Fraction(nonzero, total)) / (Fraction(p - 1, p) ** t)
+
+
+def _digits(lo: int, hi: int, base: int, m: int) -> np.ndarray:
+    """The m base-`base` digits, most significant first, of each flat index
+    in [lo, hi): column c is cell lo + c of the grid [0, base)^m in C order."""
+    rem = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((m, rem.size), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        rem, out[i] = np.divmod(rem, base)
+    return out
 
 
 @dataclass(frozen=True)
@@ -384,10 +387,6 @@ def closed_form_S4(P0: int = 10**6) -> float:
     return 0.75 * float(np.exp(np.log1p(-(3.0 * p - 1.0) / (p - 1.0) ** 3).sum()))
 
 
-AP3 = new_system([[1, -2, 1]])
-AP4 = new_system([[1, -2, 1, 0], [0, 1, -2, 1]])
-
-
 def ap_system(k: int) -> LinearSystem:
     """The (k-2) x k second-difference matrix whose kernel is k-term APs."""
     if k < 3:
@@ -398,3 +397,7 @@ def ap_system(k: int) -> LinearSystem:
         row[i : i + 3] = [1, -2, 1]
         rows.append(row)
     return new_system(rows)
+
+
+AP3 = ap_system(3)
+AP4 = ap_system(4)

@@ -5,6 +5,7 @@ from pathlib import Path
 import re
 import subprocess
 import sys
+from unittest import mock
 import warnings
 
 import jsonschema
@@ -368,6 +369,19 @@ def test_data_dir_cache(capsys, tmp_path, monkeypatch):
     run_json(capsys, "sieve", "--n", "2500")
     assert sorted(p.name for p in cache_dir.iterdir()) == [
         "table_2000.bin", "table_2500.bin", "table_3000.bin.123.tmp"]
+
+
+def test_count_parses_the_system_once_before_the_table(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, "count", "--system", "1,1", "--n", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.delenv("HLM_DATA_DIR")
+    parse = mock.Mock(wraps=linsys.parse_system)
+    monkeypatch.setattr(linsys, "parse_system", parse)
+    run_json(capsys, "count", "--system", "1,1,-2", "--sweep", "100,200,300")
+    assert parse.call_count == 1
 
 
 def test_data_dir_cache_failed_dump_leaves_no_table(capsys, tmp_path, monkeypatch):

@@ -137,6 +137,21 @@ def test_support_walk_reaches_every_anchor():
             assert got == pytest.approx(oracle_ap_sum([f, *rest]), rel=1e-12, abs=1e-15)
 
 
+def test_product_sum_counts_bool_and_sums_real_products():
+    rng = np.random.default_rng(3)
+    a, b, c = (rng.uniform(-1.0, 1.0, n) for n in (40, 40, 80))
+    parts = [a, b[::-1], c[::2]]  # a reversed and a strided input
+    before = [part.copy() for part in parts]
+    got = counting._product_sum(parts, np.empty(50))
+    assert type(got) is float
+    assert got == pytest.approx(float(np.sum(a * b[::-1] * c[::2])), rel=1e-13)
+    assert all(np.array_equal(x, y) for x, y in zip(parts, before))
+    bits = [rng.uniform(size=40) < 0.6 for _ in range(3)]
+    got = counting._product_sum(bits, np.empty(40, dtype=bool))
+    assert type(got) is int and got == int(np.count_nonzero(bits[0] & bits[1] & bits[2]))
+    assert counting._product_sum([a[:0], b[:0]], np.empty(0)) == 0.0
+
+
 def test_equation_sum_matches_literal_loop():
     @settings(max_examples=200, deadline=None)
     @given(

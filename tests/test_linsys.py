@@ -94,6 +94,16 @@ def test_local_factor_validation():
         linsys.local_factor(linsys.AP3, 5, "auto")
 
 
+def test_enumerate_route_walks_the_null_space_in_blocks(traced_peak):
+    # p^2 = 1,018,081 points of the AP3 null space at p = 1009
+    got = []
+    peak = traced_peak(lambda: got.append(linsys.local_factor(linsys.AP3, 1009, "enumerate")))
+    assert peak < 8 * 2**20
+    assert got == [linsys.local_factor(linsys.AP3, 1009, "rank")]
+    grid = np.indices((3,) * 4).reshape(4, -1)
+    assert np.array_equal(linsys._digits(5, 40, 3, 4), grid[:, 5:40])
+
+
 def test_row_scaling_invariance_for_coprime_primes():
     scaled = linsys.new_system([[7, -14, 7]])
     for p in [q for q in PRIMES_TO_100 if q <= 50]:
