@@ -205,6 +205,8 @@ def cmd_count(args) -> int:
     if args.n is None and not args.sweep:
         raise ValueError("need --n or --sweep")
     system = linsys.parse_system(args.system) if args.system else None
+    if system is None:
+        counting.check_ap_k(args.k, args.weighted)
     tab = arith.table(max(ns))
     reports = []
     for n in ns:

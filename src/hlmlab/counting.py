@@ -19,12 +19,15 @@ straight from the sieve (arith.vonmangoldt_classes). Dense input, such
 as the obstruction sets and the log weights, keeps the whole-array
 routes: for k = 3 with f_1 = f_3, x + z = 2y split by the parity of x
 and z (W = 2), each class one equation_sum on (-1, 1, 1), about N long;
-otherwise a walk over d, from the support of f_1 when a real f_1 has
-fewer nonzeros than there are d-steps and with whole-array products
-otherwise. The class parts take these same routes on the class arrays.
-Every walk ends in one product kernel, _product_sum: the terms of a
-family of progressions, as aligned slices, multiplied in place into one
-buffer per walk and counted (bool) or summed (real).
+otherwise a walk over d: for bool input on packed 64-bit words, 64
+shifted copies of each sequence whose words a block of d-steps ANDs
+and popcounts in a few numpy calls (_packed_walk); for real input from
+the support of f_1 when it has fewer nonzeros than there are d-steps,
+and with whole-array products otherwise. The class parts take these
+same routes on the class arrays. Every other walk ends in one product
+kernel, _product_sum: the terms of a family of progressions, as aligned
+slices, multiplied in place into one buffer per walk and counted (bool)
+or summed (real).
 
   * count_ap_primes: exact number of p_1 < ... < p_k <= N in arithmetic
     progression (genuine primes, strictly increasing), ap_sum of the
@@ -61,6 +64,8 @@ from .linsys import (LinearSystem, _bareiss, _digits, ap_system, closed_form_S3,
 WORK_CAP = 10**8  # exact cells or Monte Carlo samples in one generic_count
 PREDICTION_P0 = 10**6  # primes p <= P0 in prediction's singular-series products
 _CHUNK = 1 << 20  # cells or samples per vectorized pass
+_WORD_BLOCK = 1 << 16  # uint64 words in one block of the packed walk
+_BLOCK_STEPS = 64  # values of d in one block of the packed walk, which bound its zero pad
 
 
 class FreeRankTooLarge(ValueError):
@@ -194,11 +199,13 @@ def ap_sum(fs):
     is read as its class arrays 1 and 5 mod 6 and its values on that
     sparse off-class support R. Otherwise, and on each class part, k = 3
     with fs[0] equal to fs[2] splits x and z by parity (W = 2), every
-    transform about as long as its input; a non-bool input whose fs[0]
-    has fewer nonzeros on its anchor range than there are d-steps is
-    summed from that support, one strided product per anchor; every
-    other case walks d with whole-array products. Each product, on every
-    route, is one _product_sum call.
+    transform about as long as its input; every other all-bool case
+    walks d on packed 64-bit words, a block of d-steps per numpy call; a
+    non-bool input whose fs[0] has fewer nonzeros on its anchor range
+    than there are d-steps is summed from that support, one strided
+    product per anchor; every other case walks d with whole-array
+    products. Each product of the real walks, the class split and the
+    parity route is one _product_sum call.
     """
     fs = [np.asarray(f) for f in fs]
     k = len(fs)
@@ -370,27 +377,88 @@ def _parity_sum(f, g, exact: bool):
 
 def _walk(fs, exact: bool):
     """ap_sum without the class split: the parity split for k = 3 with
-    fs[0] is fs[2], else the support walk or the whole-array walk."""
+    fs[0] is fs[2], else the packed walk for bool input, the support walk
+    or the whole-array walk."""
     k, N = len(fs), fs[0].size
     if k == 3 and fs[0] is fs[2]:
         return _parity_sum(fs[0], fs[1], exact)
+    if exact:
+        return _packed_walk(fs)
     steps = range(1, (N - 1) // (k - 1) + 1)
-    if not exact:
-        anchors = np.flatnonzero(fs[0][: max(N - k + 1, 0)])
-        if anchors.size < len(steps):
-            return _support_walk(fs, anchors)
-    return _dense_walk(fs, steps, exact)
+    anchors = np.flatnonzero(fs[0][: max(N - k + 1, 0)])
+    if anchors.size < len(steps):
+        return _support_walk(fs, anchors)
+    return _dense_walk(fs, steps)
 
 
-def _dense_walk(fs, steps, exact: bool):
-    """ap_sum over each d in steps, with whole-array products."""
+def _dense_walk(fs, steps) -> float:
+    """ap_sum of real sequences over each d in steps, with whole-array products."""
     k, N = len(fs), fs[0].size
-    buf = np.empty(max(N - k + 1, 0), dtype=bool if exact else np.float64)
-    total = 0 if exact else 0.0
+    buf = np.empty(max(N - k + 1, 0), dtype=np.float64)
+    total = 0.0
     for d in steps:
         L = N - (k - 1) * d
         total += _product_sum([f[j * d : j * d + L] for j, f in enumerate(fs)], buf)
     return total
+
+
+def _packed_walk(fs) -> int:
+    """ap_sum of bool sequences over every d >= 1, on packed 64-bit words.
+
+    Each distinct sequence is held as 64 shifted copies (_packed_copies),
+    so that bit b of word w of copy r is f[64 w + r + b]. For d = c + 64 t
+    the terms f_j[x + j d] of the progressions from x = 64 w + b are then
+    bit b of word (j c) // 64 + j t + w of copy (j c) % 64: for fixed c, a
+    block of consecutive t is one 2-D view per term, its rows j words
+    apart. The k views are ANDed into one buffer of about _WORD_BLOCK words
+    and popcounted. The copies read zero past N, so the last term ends
+    each row at x + (k - 1) d < N without a mask. A block takes at most
+    _BLOCK_STEPS values of t, which bounds the zero pad the rows read past
+    N to (k - 1) _BLOCK_STEPS words of each copy.
+    """
+    k, N = len(fs), fs[0].size
+    D = (N - 1) // (k - 1)  # the largest d
+    if D < 1:
+        return 0
+    depth = min(_BLOCK_STEPS, (D - 1) // 64 + 1)  # the most values of t in one block
+    full = -(-N // 64)  # words of one whole copy
+    words = full + (k - 1) * (depth - 1)
+    copies = {}
+    for f in fs:
+        if id(f) not in copies:
+            copies[id(f)] = _packed_copies(f, words)
+    first, *rest = [copies[id(f)] for f in fs]
+    buf = np.empty(max(full, min(_WORD_BLOCK, depth * full)), dtype=first.dtype)
+    total = 0
+    for c in range(1, min(D, 64) + 1):
+        T = (D - c) // 64 + 1  # d = c, c + 64, ..., at most D
+        t = 0
+        while t < T:
+            width = -(-(N - (k - 1) * (c + 64 * t)) // 64)  # words from x = 0 to the last x
+            rows = min(T - t, depth, max(1, _WORD_BLOCK // width))
+            out = buf[: rows * width].reshape(rows, width)
+            # term 0 reads the same words for every t
+            parts = [first[0, :width]] + [
+                np.ndarray((rows, width), C.dtype, C,
+                           C.itemsize * ((j * c) % 64 * words + (j * c) // 64 + j * t),
+                           (j * C.itemsize, C.itemsize))
+                for j, C in enumerate(rest, 1)]
+            np.bitwise_and(parts[0], parts[1], out=out)
+            for part in parts[2:]:
+                np.bitwise_and(out, part, out=out)
+            total += int(np.bitwise_count(out, out=out).sum())  # in place: no cast to sum
+            t += rows
+    return total
+
+
+def _packed_copies(f, words: int):
+    """The 64 shifted copies of a bool f as little-endian 64-bit words:
+    bit b of word w of copy r is f[64 w + r + b], and 0 past f's end."""
+    copies = np.zeros((64, words), dtype="<u8")
+    as_bytes = copies.view(np.uint8)
+    for r in range(min(64, f.size)):
+        as_bytes[r, : -(-(f.size - r) // 8)] = np.packbits(f[r:], bitorder="little")
+    return copies
 
 
 def _support_walk(fs, anchors) -> float:
@@ -417,10 +485,18 @@ def _product_sum(parts, buf):
     return int(np.count_nonzero(prod)) if prod.dtype == bool else float(prod.sum())
 
 
-def count_ap_primes(table: ArithTable, N: int, k: int) -> int:
-    """Exact count of strictly increasing k-term prime APs inside [1, N]."""
+def check_ap_k(k: int, weighted: bool = False) -> None:
+    """Refuse, with ValueError, a k that count_ap_primes (k >= 3) or, when
+    weighted, weighted_ap_average (k in {3, 4}) does not take."""
+    if weighted and k not in (3, 4):
+        raise ValueError("weighted averages implemented for k in {3, 4}")
     if k < 3:
         raise ValueError("need k >= 3")
+
+
+def count_ap_primes(table: ArithTable, N: int, k: int) -> int:
+    """Exact count of strictly increasing k-term prime APs inside [1, N]."""
+    check_ap_k(k)
     if N > table.limit:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
     if k > N:
@@ -445,8 +521,7 @@ def weighted_ap_average(table: ArithTable, N: int, k: int) -> float:
     arrays 1 and 5 mod 6 and the powers of 2 and 3 (arith.vonmangoldt_classes),
     summed by ap_sum's class split; the full-length column is never made.
     """
-    if k not in (3, 4):
-        raise ValueError("weighted averages implemented for k in {3, 4}")
+    check_ap_k(k, weighted=True)
     if N > table.limit:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
     classes, R, values = vonmangoldt_classes(table.is_prime, N)

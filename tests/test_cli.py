@@ -384,6 +384,16 @@ def test_count_parses_the_system_once_before_the_table(capsys, tmp_path, monkeyp
     assert parse.call_count == 1
 
 
+def test_count_checks_k_before_the_table(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
+    for argv, message in ((["--k", "2", "--n", "5000"], "need k >= 3"),
+                          (["--k", "5", "--weighted", "--n", "6000"], "k in {3, 4}")):
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("validation error: ") and message in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_data_dir_cache_failed_dump_leaves_no_table(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
 

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
-from hlmlab import arith, counting, linsys
+from hlmlab import arith, counting, linsys, obstruction
 
 
 def oracle_ap_count(table, N, k):
@@ -150,6 +150,43 @@ def test_product_sum_counts_bool_and_sums_real_products():
     got = counting._product_sum(bits, np.empty(40, dtype=bool))
     assert type(got) is int and got == int(np.count_nonzero(bits[0] & bits[1] & bits[2]))
     assert counting._product_sum([a[:0], b[:0]], np.empty(0)) == 0.0
+
+
+@pytest.mark.parametrize("words, steps", [(1 << 16, 64), (1, 64), (16, 2)])
+def test_packed_walk_matches_literal_loop(monkeypatch, words, steps):
+    # one word per block, and a few words over at most two values of d per
+    # block, split every residue's walk; N = 500 reaches d >= 64 for each k
+    monkeypatch.setattr(counting, "_WORD_BLOCK", words)
+    monkeypatch.setattr(counting, "_BLOCK_STEPS", steps)
+    rng = np.random.default_rng(words + steps)
+    for k in (4, 5, 6):
+        for N in (0, 1, k - 1, k, 63, 64, 65, 127, 129, 500):
+            m = rng.random(N) < 0.6
+            for fs in ([rng.random(N) < 0.7 for _ in range(k)], (m,) * (k - 1) + (np.ones_like(m),)):
+                got = counting._packed_walk(fs)
+                assert type(got) is int and got == oracle_ap_sum(fs), (k, N)
+
+
+def test_packed_walk_matches_the_real_route_on_an_obstruction_set():
+    m = obstruction.build("A1", 2 * 10**4, 0.1).membership
+    with mock.patch.object(counting, "_packed_walk", wraps=counting._packed_walk) as packed:
+        got = counting.ap_sum((m,) * 4)
+    assert packed.call_count == 1
+    assert type(got) is int and got > 0 and got == counting.ap_sum((m.astype(float),) * 4)
+
+
+def test_packed_walk_stays_within_8_bytes_per_entry(traced_peak):
+    # 64 shifted copies of one bit per entry are 8 B per entry of each
+    # distinct sequence, and each copy's zero pad is at most (k - 1)
+    # _BLOCK_STEPS words; beside them the walk holds one block of words,
+    # one packed row while it builds the copies, and numpy's ufunc buffers
+    # of at most getbufsize() elements for each of three operands
+    N, k = 2 * 10**5, 4
+    m = np.random.default_rng(2).random(N) < 0.3
+    pad = 64 * 8 * (k - 1) * counting._BLOCK_STEPS
+    block = 8 * counting._WORD_BLOCK + N // 8 + 3 * 8 * np.getbufsize()
+    for fs, distinct in (((m,) * k, 1), ((m,) * (k - 1) + (np.ones_like(m),), 2)):
+        assert traced_peak(lambda: counting.ap_sum(fs)) <= distinct * (8 * N + pad) + block
 
 
 def test_equation_sum_matches_literal_loop():
