@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+from fractions import Fraction
 import json
 import math
 import sys
@@ -71,11 +72,13 @@ def _check_finite(values) -> None:
         raise ValueError("non-finite value (NaN or inf) in the CSV report")
 
 
-def _finite_phases(flag: str, thetas) -> None:
-    """Refuse a non-finite phase before any numpy work reduces it mod 1."""
+def _finite_phases(flag: str, thetas, n: int) -> None:
+    """Refuse a phase theta whose products theta * m for m <= n are not all
+    finite doubles, before any numpy work reduces them mod 1."""
     for theta in thetas:
-        if not math.isfinite(theta):
-            raise ValueError(f"{flag} must be finite, got {theta!r}")
+        if not math.isfinite(theta) or abs(Fraction(theta)) * n > sys.float_info.max:
+            raise ValueError(f"{flag} and {flag} * n for n <= {n} must be finite, "
+                             f"got {theta!r}")
 
 
 def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
@@ -125,7 +128,7 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_expsum(args) -> int:
-    _finite_phases("--theta", args.theta)
+    _finite_phases("--theta", args.theta, args.n)
     tab = arith.table(args.n)
     w = _weights(tab, args.weights, args.n)
     rows = []
@@ -147,7 +150,7 @@ def cmd_expsum(args) -> int:
 def cmd_arcs(args) -> int:
     if args.thetas:
         thetas = [float(t) for t in args.thetas.split(",")]
-        _finite_phases("--thetas", thetas)
+        _finite_phases("--thetas", thetas, args.n)
     else:
         if args.grid < 1:
             raise ValueError(f"--grid must be >= 1, got {args.grid}")
@@ -164,7 +167,7 @@ def cmd_arcs(args) -> int:
 
 
 def cmd_typesums(args) -> int:
-    _finite_phases("--phase", [] if args.phase is None else [args.phase])
+    _finite_phases("--phase", [] if args.phase is None else [args.phase], args.n)
     if args.phase is not None:
         n = np.arange(1, args.n + 1)
         f = np.exp(2j * np.pi * frac01(args.phase * n))

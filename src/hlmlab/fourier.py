@@ -54,6 +54,7 @@ class PowerIterationError(RuntimeError):
 
 _EXP_BLOCK = 1 << 16  # terms per exp_sum block, elements per Type II gather
 _CLASS_LEN = 1 << 18  # shortest class transform of sup_exp_sum
+_MAX_LOG_Q = 700  # log of the largest arc cap Q; a double overflows past e^709.78
 
 
 def exp_sum(weights, theta: float) -> complex:
@@ -160,8 +161,9 @@ def classify_arc(theta: float, N: int, A: float) -> ArcClassification:
     """
     if not (0.0 <= theta < 1.0):
         raise ValueError(f"theta must lie in [0,1), got {theta}")
-    if N < 10 or A <= 0:
-        raise ValueError("need N >= 10 and A > 0")
+    if N < 10 or not 0 < A <= _MAX_LOG_Q / math.log(math.log(N)):
+        raise ValueError(f"need N >= 10 and 0 < A with (log N)^A <= e^{_MAX_LOG_Q}, "
+                         f"got N={N}, A={A}")
     Q = math.log(N) ** A
     qmax = max(1, int(Q))
     approx = Fraction(theta).limit_denominator(qmax)

@@ -304,6 +304,14 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["gowers", "--input", "{tmp}/one_value.csv"],
         ["gowers", "--input", "{tmp}/one_row.csv"],
         ["singular", "--system", "1,-2,1", "--p-max", "-5"],
+        ["gowers", "--m", "64", "--k", "-1", "--method", "bruteforce"],
+        ["gowers", "--m", "64", "--k", "0", "--method", "bruteforce"],
+        ["gowers", "--m", "64", "--k", "5", "--method", "bruteforce"],
+        ["arcs", "--n", "100", "--exponent", "inf"],
+        ["arcs", "--n", "100", "--exponent", "1e20"],
+        ["arcs", "--n", "100", "--exponent", "1e300"],
+        ["expsum", "--n", "100", "--theta", "1e308"],
+        ["typesums", "--n", "100", "--d", "5", "--phase", "1e308"],
     ],
     ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
          "nilseq-orbit-overflow", "nilseq-orbit-overflow-csv", "nilseq-product-overflow",
@@ -312,7 +320,10 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
          "count-cells-over-cap", "count-samples-over-cap", "count-montecarlo-past-int64",
          "count-enumeration-past-int64", "singular-non-saturated", "count-non-saturated",
          "arcs-grid-zero", "arcs-grid-negative", "gowers-empty-input", "gowers-one-value",
-         "gowers-one-row", "singular-p-max-negative"],
+         "gowers-one-row", "singular-p-max-negative", "gowers-bruteforce-k-negative",
+         "gowers-bruteforce-k-zero", "gowers-bruteforce-k-five", "arcs-exponent-inf",
+         "arcs-exponent-1e20", "arcs-exponent-1e300", "expsum-theta-product-overflow",
+         "typesums-phase-product-overflow"],
 )
 def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
     out_file = tmp_path / "report.out"

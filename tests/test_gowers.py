@@ -84,6 +84,9 @@ def test_uk_caps_and_validation():
         gowers.uk_norm(np.ones(8), 3, method="bogus")
     with pytest.raises(ValueError):
         gowers.uk_norm_bruteforce(np.ones(512), 3)  # 512^4 > cap
+    for k in (-1, 0, 1, 5):  # the k range comes before any power of M
+        with pytest.raises(ValueError, match="2 <= k <= 4"):
+            gowers.uk_norm_bruteforce(np.ones(8), k)
 
 
 def test_monotonicity_in_k(rng):
@@ -122,6 +125,17 @@ def test_ap_average_modulus_validation():
         gowers.ap_average([np.ones(9)] * 4)  # gcd(9, 6) != 1
     with pytest.raises(ValueError):
         gowers.ap_average([np.ones(7), np.ones(9), np.ones(7)])
+
+
+@pytest.mark.parametrize("M", [7, 11, 13])
+def test_ap_average_is_the_literal_double_loop(M):
+    rng = np.random.default_rng(M)
+    for k in (3, 4):
+        fs = [sample_input(rng, M, k == 4) for _ in range(k)]
+        want = sum(math.prod(fs[i][(x + i * d) % M] for i in range(k))
+                   for x in range(M) for d in range(M)) / M**2
+        assert gowers.ap_average(fs) == pytest.approx(want, rel=1e-12)
+        assert not any(gowers._ap_index(M, j).flags.writeable for j in range(1, k))
 
 
 def test_spectral_identity_on_random_triples(rng):
@@ -232,6 +246,30 @@ def test_one_row_chunks_match_one_block(complex_input, monkeypatch):
     whole = run()
     monkeypatch.setattr(gowers, "_BLOCK", 1)  # one row of M, or one h_1, per block
     assert run() == pytest.approx(whole, rel=1e-13)
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("M", [97, 101, 127, 128, 129])
+def test_fft_route_matches_per_h_oracle_around_the_gemm_cutoff(M, complex_input):
+    # the U^2 base is a GEMM up to M = 128 and an rfft/fft above it
+    f = sample_input(np.random.default_rng(M + 1000 * complex_input), M, complex_input)
+    for k in (2, 3):
+        want = per_h_power(f, k, spectral=True)
+        assert gowers.uk_norm(f, k, "fft") ** 2**k == pytest.approx(want, rel=1e-12)
+
+
+def test_fft_route_calls_no_fft_up_to_the_cutoff(monkeypatch):
+    rng = np.random.default_rng(16)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft called")
+
+    for name in ("fft", "rfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    for complex_input in (False, True):
+        gowers.uk_norm(sample_input(rng, 128, complex_input), 3, "fft")
+        with pytest.raises(AssertionError, match="np.fft called"):
+            gowers.uk_norm(sample_input(rng, 129, complex_input), 2, "fft")
 
 
 def test_routes_stay_independent(monkeypatch):
