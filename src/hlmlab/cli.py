@@ -169,6 +169,8 @@ def cmd_arcs(args) -> int:
 def cmd_typesums(args) -> int:
     _finite_phases("--phase", [] if args.phase is None else [args.phase], args.n)
     if args.phase is not None:
+        if args.n > arith.DEFAULT_LIMIT_CAP:
+            raise arith.CapacityError(f"--n={args.n} exceeds cap {arith.DEFAULT_LIMIT_CAP}")
         n = np.arange(1, args.n + 1)
         f = np.exp(2j * np.pi * frac01(args.phase * n))
         kind = f"e({args.phase}*n)"

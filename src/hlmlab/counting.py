@@ -50,6 +50,7 @@ Predictions: the truncated singular-series constants give
 and the weighted average tends to the full product of local factors.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 import math
@@ -272,63 +273,53 @@ def _off_class_walk(views, exact: bool):
     """The part of ap_sum over the progressions with a term n where
     gcd(n, 6) > 1, read from the views only.
 
-    Each progression is keyed on its first such term: position i, value
-    r in R_i, with every earlier term prime to 6, so none is counted
-    twice. If every other term is prime to 6 too, the residue e of d mod
-    6 fixes the class of each term, and d = e + 6t walks each of them at
-    stride j - i on its class array: one product of k - 1 strided slices
-    per (i, r, e). Otherwise some later term j lies in R_j, which fixes
-    d; those few progressions are looked up term by term.
+    Each progression is keyed once, on its first such term (position i,
+    value r in R_i) and the residue e of d mod 6, e = 6 for 6 | d. Terms
+    six places apart agree mod 6, so i < 6, and e fixes the class of
+    every other term: a key with an earlier term off the classes is
+    skipped. If every later term is prime to 6 too, d = e + 6t walks each
+    term at stride j - i on its class array: one product of k - 1 class
+    slices per (i, r, e). Otherwise the first later term off the classes,
+    at position j, lies in R_j and fixes d = (s - r)/(j - i). Each pair
+    (r, d) is reached once; position i's pairs, over every r and e, are
+    looked up term by term in one batch.
     """
     k, N = len(views), views[0].N
+    dtype = bool if exact else np.float64
     # d <= (N - 1) // (k - 1), so a class walk d = e + 6t, e >= 1, has at most this many terms
-    buf = np.empty(((N - 1) // (k - 1) + 5) // 6, dtype=bool if exact else np.float64)
+    buf = np.empty(((N - 1) // (k - 1) + 5) // 6, dtype=dtype)
+    Rs = [v.R.tolist() for v in views]
     total = 0 if exact else 0.0
-    for i, v in enumerate(views):
-        for r, val in zip(v.R.tolist(), v.values.tolist()):
+    for i, v in enumerate(views[:6]):
+        at, ds = [], []
+        for a, (r, val) in enumerate(zip(Rs[i], v.values.tolist())):
             # the longest d with x = r - i d >= 1 and r + (k - 1 - i) d <= N
             dmax = min((r - 1) // i if i else N, (N - r) // (k - 1 - i) if i < k - 1 else N)
-            for e in range(1, min(dmax, 5) + 1):  # e = 0 keeps every term off the classes
-                starts = [r + (j - i) * e for j in range(k)]
-                if any(math.gcd(n, 6) != 1 for j, n in enumerate(starts) if j != i):
-                    continue
-                T = (dmax - e) // 6 + 1
-                parts = [_strided(views[j].classes[n % 6 == 5], n // 6, j - i, T)
-                         for j, n in enumerate(starts) if j != i]
-                total += val * _product_sum(parts, buf)
-        if i < k - 1:
-            total += _pinned_walk(views, i, exact)
+            for e in range(1, min(dmax, 6) + 1):
+                # terms six places apart agree mod 6, so this sees every earlier
+                # term and the first later one off the classes
+                off = [j for j in range(min(i + 7, k))
+                       if j != i and (r + (j - i) * e) % 6 not in (1, 5)]
+                if not off:
+                    T = (dmax - e) // 6 + 1
+                    starts = {j: r + (j - i) * e for j in range(k) if j != i}
+                    parts = [views[j].classes[n % 6 == 5][n // 6 :: j - i][:T]
+                             for j, n in starts.items()]
+                    total += val * _product_sum(parts, buf)
+                elif off[0] > i:  # else an earlier term keys the progression
+                    j = off[0]
+                    start, stop = r + (j - i) * e, r + (j - i) * dmax
+                    pinned = Rs[j][bisect_left(Rs[j], start) : bisect_right(Rs[j], stop)]
+                    found = [(s - r) // (j - i) for s in pinned if (s - start) % (6 * (j - i)) == 0]
+                    at += [a] * len(found)
+                    ds += found
+        if ds:
+            idx, d = np.array(at), np.array(ds)
+            r = v.R[idx]
+            parts = [v.values[idx]] + [_lookup(views[j], r + (j - i) * d)
+                                       for j in range(k) if j != i]
+            total += _product_sum(parts, np.empty(idx.size, dtype=dtype))
     return total
-
-
-def _strided(a, start: int, step: int, count: int):
-    """a[start], a[start + step], ... count entries, for either sign of step."""
-    stop = start + step * count
-    return a[start : stop if stop >= 0 else None : step]
-
-
-def _pinned_walk(views, i: int, exact: bool):
-    """The progressions keyed on a term r in R_i at position i < k - 1
-    (every earlier term prime to 6) with a later term s in R_j:
-    d = (s - r)/(j - i), each (r, d) once, every term looked up in its view."""
-    k, N, R = len(views), views[0].N, views[i].R
-    pairs = []
-    for j in range(i + 1, k):
-        diff = views[j].R[None, :] - R[:, None]
-        at = (diff > 0) & (diff % (j - i) == 0)
-        pairs.append(np.nonzero(at)[0] * (N + 1) + diff[at] // (j - i))
-    key = np.sort(np.concatenate(pairs))
-    key = key[np.diff(key, prepend=-1) != 0]  # each (r, d) once
-    idx, d = np.divmod(key, N + 1)
-    r = R[idx]
-    ok = (r - i * d >= 1) & (r + (k - 1 - i) * d <= N)
-    for j in range(i):
-        n = r + (j - i) * d
-        ok &= (n % 2 == 1) & (n % 3 != 0)
-    idx, r, d = idx[ok], r[ok], d[ok]
-    parts = [views[i].values[idx]] + [_lookup(views[j], r + (j - i) * d)
-                                      for j in range(k) if j != i]
-    return _product_sum(parts, np.empty(idx.size, dtype=bool if exact else np.float64))
 
 
 def _lookup(view, n):

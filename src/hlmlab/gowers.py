@@ -143,7 +143,7 @@ def _power_sum(V: np.ndarray, depth: int, base) -> float:
 
 def u2_norm(f) -> float:
     """(sum_xi |fhat(xi)|^4)^(1/4) under the averaged transform."""
-    return float(_u2_power(_as_vector(f)[None, :])[0]) ** 0.25
+    return uk_norm(f, 2)
 
 
 def _check_k(k: int) -> None:

@@ -312,6 +312,7 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["arcs", "--n", "100", "--exponent", "1e300"],
         ["expsum", "--n", "100", "--theta", "1e308"],
         ["typesums", "--n", "100", "--d", "5", "--phase", "1e308"],
+        ["typesums", "--phase", "0.1", "--n", str(10**30), "--d", "10"],
     ],
     ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
          "nilseq-orbit-overflow", "nilseq-orbit-overflow-csv", "nilseq-product-overflow",
@@ -323,7 +324,7 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
          "gowers-one-row", "singular-p-max-negative", "gowers-bruteforce-k-negative",
          "gowers-bruteforce-k-zero", "gowers-bruteforce-k-five", "arcs-exponent-inf",
          "arcs-exponent-1e20", "arcs-exponent-1e300", "expsum-theta-product-overflow",
-         "typesums-phase-product-overflow"],
+         "typesums-phase-product-overflow", "typesums-phase-n-over-cap"],
 )
 def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
     out_file = tmp_path / "report.out"

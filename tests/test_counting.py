@@ -475,6 +475,22 @@ def test_count_ap_primes_with_k_past_n_forms_no_progression(table_1e4):
         assert counting.ap_count_report(table_1e4, 100, 10**6).observed == 0.0
 
 
+def test_off_class_walk_does_bounded_work_at_large_k(table_1e4):
+    # each progression off the classes is keyed once, and a position's pairs
+    # are looked up in one batch: at most a few positions look anything up,
+    # one _lookup per other term each, whatever k is
+    for k in (4, 5, 250, 1000):
+        with mock.patch.object(counting, "_lookup", wraps=counting._lookup) as lookup, \
+                mock.patch.object(counting, "_product_sum", wraps=counting._product_sum) as product:
+            got = counting.count_ap_primes(table_1e4, 2000, k)
+        if k < 250:
+            assert got == oracle_ap_count(table_1e4, 2000, k)
+        else:
+            assert got == 0
+            assert lookup.call_count <= 3 * (k - 1)
+            assert product.call_count <= 33
+
+
 def test_count_ap_primes_matches_oracle(table_1e4):
     for N in (23, 100, 500, 1000, 10**4):
         for k in (3, 4, 5):
