@@ -402,10 +402,12 @@ def _packed_walk(fs) -> int:
     bit b of word (j c) // 64 + j t + w of copy (j c) % 64: for fixed c, a
     block of consecutive t is one 2-D view per term, its rows j words
     apart. The k views are ANDed into one buffer of about _WORD_BLOCK words
-    and popcounted. The copies read zero past N, so the last term ends
-    each row at x + (k - 1) d < N without a mask. A block takes at most
-    _BLOCK_STEPS values of t, which bounds the zero pad the rows read past
-    N to (k - 1) _BLOCK_STEPS words of each copy.
+    and popcounted; a buffer found all zero after a multiple of 8 terms
+    skips the rest, so large k costs a few ANDs per block. The copies read
+    zero past N, so the last term ends each row at x + (k - 1) d < N
+    without a mask. A block takes at most _BLOCK_STEPS values of t, which
+    bounds the zero pad the rows read past N to (k - 1) _BLOCK_STEPS
+    words of each copy.
     """
     k, N = len(fs), fs[0].size
     D = (N - 1) // (k - 1)  # the largest d
@@ -428,15 +430,15 @@ def _packed_walk(fs) -> int:
             width = -(-(N - (k - 1) * (c + 64 * t)) // 64)  # words from x = 0 to the last x
             rows = min(T - t, depth, max(1, _WORD_BLOCK // width))
             out = buf[: rows * width].reshape(rows, width)
-            # term 0 reads the same words for every t
-            parts = [first[0, :width]] + [
-                np.ndarray((rows, width), C.dtype, C,
-                           C.itemsize * ((j * c) % 64 * words + (j * c) // 64 + j * t),
-                           (j * C.itemsize, C.itemsize))
-                for j, C in enumerate(rest, 1)]
-            np.bitwise_and(parts[0], parts[1], out=out)
-            for part in parts[2:]:
-                np.bitwise_and(out, part, out=out)
+            for j, C in enumerate(rest, 1):
+                # a block that is all zero stays so: test it every 8 terms
+                if j % 8 == 0 and not out.any():
+                    break
+                part = np.ndarray((rows, width), C.dtype, C,
+                                  C.itemsize * ((j * c) % 64 * words + (j * c) // 64 + j * t),
+                                  (j * C.itemsize, C.itemsize))
+                # term 0 reads the same words for every t
+                np.bitwise_and(first[0, :width] if j == 1 else out, part, out=out)
             total += int(np.bitwise_count(out, out=out).sum())  # in place: no cast to sum
             t += rows
     return total

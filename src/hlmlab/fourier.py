@@ -9,7 +9,7 @@ transformed whole: with M2 = R*L it is read as R frequency classes
 xi = R*j + r, each one transform of length L of the sequence folded mod L
 (the four-step split of Bailey, "FFTs in external or hierarchical memory",
 J. Supercomputing 4, 1990), so the memory beyond the input is O(L) with
-L = max(2^18, M2/32).
+L = max(2^16, M2/32).
 
 Arc classification follows the usual major/minor split: theta is major
 when its best rational approximation a/q with q <= log^A N (continued
@@ -53,7 +53,7 @@ class PowerIterationError(RuntimeError):
 
 
 _EXP_BLOCK = 1 << 16  # terms per exp_sum block, elements per Type II gather
-_CLASS_LEN = 1 << 18  # shortest class transform of sup_exp_sum
+_CLASS_LEN = 1 << 16  # shortest class transform of sup_exp_sum, one _EXP_BLOCK
 _MAX_LOG_Q = 700  # log of the largest arc cap Q; a double overflows past e^709.78
 
 
@@ -91,7 +91,7 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     the input folded mod L, each fold block weighted, the fold twisted.
     Real input has |F(M2 - xi)| = |F(xi)|, so the classes r <= R/2 cover
     the grid an rfft of length M2 would read; class 0 is an rfft, and it
-    is the only class when M2 <= 2^18. L = min(M2, max(2^18, M2/32)), so
+    is the only class when M2 <= 2^16. L = min(M2, max(2^16, M2/32)), so
     there are at most 32 classes. One fold of L (whose float view also
     takes the magnitudes) and one work block of 2^16 are made once and
     reused by every class, so per class the only new length-L array is the

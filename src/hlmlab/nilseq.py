@@ -339,19 +339,21 @@ def correlation_battery(weights, n_max: int) -> dict:
     correlation-decay checks. Each orbit and test function is evaluated
     only where w(n) != 0 (61% of n for mu at N = 2e6), block by block;
     the sum over that support is divided by n_max, so the mean is the
-    full-length one. The weights keep their dtype (mu as int8): each block
-    gathers its own weights and points, so no full-length float copy is made.
+    full-length one. The support is taken one block of 2 _BLOCK values of
+    n at a time (about _BLOCK points for mu), and each block gathers its
+    own weights and points, so the weights keep their dtype (mu as int8)
+    and neither a full-length float copy nor a full-length index is made.
     """
     w = np.asarray(weights)[:n_max]
     if w.size != n_max:
         raise ValueError(f"length mismatch: {w.size} weights for n_max = {n_max}")
     _check_n_max(n_max)
-    support = np.flatnonzero(w)
     battery = default_battery()
     totals = dict.fromkeys(battery, 0j)
-    for i in range(0, support.size, _BLOCK):
-        idx = support[i : i + _BLOCK]
-        n, wb = idx + 1.0, w[idx]
+    for lo in range(0, n_max, 2 * _BLOCK):
+        block = w[lo : lo + 2 * _BLOCK]
+        idx = np.flatnonzero(block)
+        n, wb = idx + (lo + 1.0), block[idx]
         for name, (F, g) in battery.items():
             totals[name] += complex(np.sum(wb * F.evaluate(*_orbit(g, ORIGIN, n))))
     return {name: abs(total) / n_max for name, total in totals.items()}

@@ -48,6 +48,7 @@ def _dd_sqrt(n: int) -> tuple[float, float]:
 SQRT2_HI, SQRT2_LO = _dd_sqrt(2)
 SQRT3_HI, SQRT3_LO = _dd_sqrt(3)
 MIN_CONDITION = 100  # fewest conditioning triples a completion probability needs
+_BLOCK = 1 << 16  # x per block of build and of check_constraint_identity
 
 @dataclass
 class ObstructionSet:
@@ -64,25 +65,32 @@ class ObstructionSet:
 
 
 def build(kind: str, N: int, alpha: float) -> ObstructionSet:
-    """Membership by direct evaluation of the defining inequality."""
+    """Membership by direct evaluation of the defining inequality.
+
+    The phases are elementwise, so they are taken one block of _BLOCK x at
+    a time into the bool membership: beyond its N bytes the build holds
+    one block's float64 temporaries, not N-long ones.
+    """
     if not 0.0 < alpha <= 0.25:
         raise ValueError(f"need 0 < alpha <= 0.25, got {alpha}")
     if N < 10**3:
         raise ValueError(f"need N >= 10^3, got {N}")
-    x = np.arange(1, N + 1, dtype=np.int64)
-    if kind == "A1":
-        phase = frac_dd(x * x, SQRT2_HI, SQRT2_LO, frac_half)
-    elif kind == "A2":
-        inner = frac_dd(x, SQRT3_HI, SQRT3_LO, frac_half)
-        # x*inner is not an integer, but the kernel only needs it to be a
-        # double: inner is exact to ~1e-16, and the product with sqrt2 is
-        # re-split so the mod-1 keeps full precision
-        phase = frac_dd(x * inner, SQRT2_HI, SQRT2_LO, frac_half)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    member = np.abs(phase) <= alpha / 2.0
-    # closed interval at both ends: the <= above keeps +alpha/2; -alpha/2
-    # maps to |phase| == alpha/2 as well under the signed convention
+    member = np.empty(N, dtype=bool)
+    for lo in range(0, N, _BLOCK):
+        x = np.arange(lo + 1, min(lo + _BLOCK, N) + 1, dtype=np.int64)
+        if kind == "A1":
+            phase = frac_dd(x * x, SQRT2_HI, SQRT2_LO, frac_half)
+        elif kind == "A2":
+            inner = frac_dd(x, SQRT3_HI, SQRT3_LO, frac_half)
+            # x*inner is not an integer, but the kernel only needs it to be a
+            # double: inner is exact to ~1e-16, and the product with sqrt2 is
+            # re-split so the mod-1 keeps full precision
+            phase = frac_dd(x * inner, SQRT2_HI, SQRT2_LO, frac_half)
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        # closed interval at both ends: the <= keeps +alpha/2; -alpha/2
+        # maps to |phase| == alpha/2 as well under the signed convention
+        member[lo : lo + _BLOCK] = np.abs(phase) <= alpha / 2.0
     return ObstructionSet(kind=kind, N=N, alpha=alpha,
                           membership=member, density=float(member.mean()))
 
@@ -140,12 +148,18 @@ def completion_probability(obset: ObstructionSet) -> float:
 def check_constraint_identity(x_max: int, d_max: int) -> bool:
     """x^2 - 3(x+d)^2 + 3(x+2d)^2 - (x+3d)^2 == 0, all 0 <= x,d <= bounds.
 
-    Exact integer arithmetic; int64 is safe for bounds up to ~1e6.
+    Exact integer arithmetic; int64 is safe for bounds up to ~1e6. The
+    (x, d) grid is taken in blocks of x rows of at most _BLOCK cells (one
+    row when a row is longer), and the first nonzero value ends the check.
     """
-    x = np.arange(0, x_max + 1, dtype=np.int64)[:, None]
     d = np.arange(0, d_max + 1, dtype=np.int64)[None, :]
-    val = x**2 - 3 * (x + d) ** 2 + 3 * (x + 2 * d) ** 2 - (x + 3 * d) ** 2
-    return bool((val == 0).all())
+    rows = max(1, _BLOCK // d.size)
+    for lo in range(0, x_max + 1, rows):
+        x = np.arange(lo, min(lo + rows, x_max + 1), dtype=np.int64)[:, None]
+        val = x**2 - 3 * (x + d) ** 2 + 3 * (x + 2 * d) ** 2 - (x + 3 * d) ** 2
+        if val.any():
+            return False
+    return True
 
 
 def stats_report(obset: ObstructionSet) -> dict:

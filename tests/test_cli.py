@@ -145,25 +145,49 @@ def test_nilseq_csv_stays_near_its_table(tmp_path, traced_peak):
     assert traced_peak(lambda: cli.main(argv)) <= 40 * n + (4 << 20)
 
 
-def test_gowers_children_stay_near_the_help_child():
-    # each child's own peak RSS (ru_maxrss, KiB on Linux) against one that
-    # loads the same interpreter, numpy and hlmlab and prints the usage; with
-    # Gowers blocks of 2^20 elements the two runs read +40 MB and +31 MB
+# spawns one command from this small interpreter and prints its exit code
+# and peak RSS: a child's ru_maxrss starts from the RSS of the process that
+# forked it, so a child of the test process would read at least its size
+_PEAK_SHIM = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+              "_, status, usage = os.wait4(pid, 0); "
+              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def child_peaks_mb(argvs: dict) -> dict:
+    """name -> the peak RSS in MB of `python -m hlmlab.cli *argv`, each run
+    to exit 0 without a table cache."""
     env = {k: v for k, v in os.environ.items() if k != "HLM_DATA_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    argvs = {"help": ["--help"], "k4": ["gowers", "--k", "4", "--m", "256"],
-             "k3": ["gowers", "--k", "3", "--m", "4096"]}
-    procs = {name: subprocess.Popen([sys.executable, "-m", "hlmlab.cli", *argv], env=env,
-                                    stdout=subprocess.DEVNULL)
-             for name, argv in argvs.items()}
     peak_mb = {}
-    for name, proc in procs.items():
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0, name
-        peak_mb[name] = usage.ru_maxrss / 1024
+    for name, argv in argvs.items():
+        shim = subprocess.run([sys.executable, "-I", "-S", "-c", _PEAK_SHIM, sys.executable,
+                               "-m", "hlmlab.cli", *argv], env=env, capture_output=True,
+                              text=True, check=True)
+        code, rss_kb = map(int, shim.stdout.split()[-2:])
+        assert code == 0, name
+        peak_mb[name] = rss_kb / 1024  # KiB on Linux
+    return peak_mb
+
+
+def test_gowers_children_stay_near_the_help_child():
+    # each child's own peak RSS against one that loads the same interpreter,
+    # numpy and hlmlab and prints the usage; with Gowers blocks of 2^20
+    # elements the two runs read +40 MB and +31 MB
+    peak_mb = child_peaks_mb({"help": ["--help"], "k4": ["gowers", "--k", "4", "--m", "256"],
+                              "k3": ["gowers", "--k", "3", "--m", "4096"]})
     for name in ("k4", "k3"):
         assert peak_mb[name] - peak_mb["help"] <= 16, peak_mb
+
+
+def test_obstruction_and_mobius_children_stay_near_the_help_child():
+    # as above; A10 alone and mobius-corr at 10^6 read +19.4 MB and +13.5 MB
+    # while the constraint grid, the obstruction phases and the battery's
+    # support were whole arrays, and +8.2 MB and +9.8 MB in blocks of 2^16
+    peak_mb = child_peaks_mb({"help": ["--help"],
+                              "obstruction": ["acceptance", "--only", "obstruction"],
+                              "mobius": ["mobius-corr", "--n", "1000000"]})
+    for name in ("obstruction", "mobius"):
+        assert peak_mb[name] - peak_mb["help"] <= 12, peak_mb
 
 
 def test_count_sweep_csv_mode(capsys):

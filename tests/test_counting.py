@@ -167,6 +167,24 @@ def test_packed_walk_matches_literal_loop(monkeypatch, words, steps):
                 assert type(got) is int and got == oracle_ap_sum(fs), (k, N)
 
 
+def test_packed_walk_ends_zero_blocks_early(monkeypatch):
+    # a sparse sequence's blocks are all zero by term 8 and stop there; an
+    # all-ones sequence's never are, and every block ANDs all k - 1 views
+    rng = np.random.default_rng(25)
+    ands = []
+    bitwise_and = np.bitwise_and
+    monkeypatch.setattr(np, "bitwise_and", lambda *a, **kw: ands.append(1) or bitwise_and(*a, **kw))
+    N, k = 500, 20
+    calls = {}
+    for name, m in (("sparse", rng.random(N) < 0.3), ("ones", np.ones(N, dtype=bool))):
+        ands.clear()
+        got = counting._packed_walk((m,) * k)
+        calls[name] = len(ands)
+        assert type(got) is int and got == oracle_ap_sum((m,) * k), name
+    D = (N - 1) // (k - 1)  # one block per d at this N
+    assert calls == {"sparse": 7 * D, "ones": (k - 1) * D}
+
+
 def test_packed_walk_matches_the_real_route_on_an_obstruction_set():
     m = obstruction.build("A1", 2 * 10**4, 0.1).membership
     with mock.patch.object(counting, "_packed_walk", wraps=counting._packed_walk) as packed:

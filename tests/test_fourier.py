@@ -112,10 +112,11 @@ def test_sup_exp_sum_refuses_empty_input_like_exp_sum():
 
 
 def test_sup_exp_sum_matches_full_length_rfft(rng):
-    # 2^16 +- 1 and 2^18 +- 1 straddle the one-class limit (M2 = 2^18) for
-    # oversample 4 and 5; 10^6 at oversample 4 folds 4 blocks into 16 classes
+    # 2^14 +- 1 straddle the one-class limit (M2 = 2^16) at oversample 4,
+    # and 2^16 +- 1 and 2^18 +- 1 give several classes and fold blocks;
+    # 10^6 at oversample 4 folds 8 blocks of 2^17 into 32 classes
     kinds = ("bool", "real", "constant", "zero", "parity")
-    for N in (1, 2, 3, 2**16 - 1, 2**16 + 1, 2**18 - 1, 2**18 + 1):
+    for N in (1, 2, 3, 2**14 - 1, 2**14 + 1, 2**16 - 1, 2**16 + 1, 2**18 - 1, 2**18 + 1):
         for kind in kinds:
             w = sup_input(kind, N, rng)
             for oversample in (4, 5, 8) if N < 2**16 or kind in ("bool", "real") else (4,):
@@ -147,7 +148,7 @@ def test_sup_exp_sum_matches_full_length_rfft_with_short_classes():
 def test_sup_exp_sum_transforms_are_class_length(monkeypatch, rng):
     N = 3 * 10**5
     M2 = fourier._padded_length(4 * N)
-    L = max(2**18, M2 // 32)
+    L = max(fourier._CLASS_LEN, M2 // 32)
     lengths = []
     for name in ("rfft", "fft"):
         transform = getattr(np.fft, name)
@@ -156,6 +157,14 @@ def test_sup_exp_sum_transforms_are_class_length(monkeypatch, rng):
     fourier.sup_exp_sum(rng.standard_normal(N))
     assert max(lengths) <= L < M2
     assert len(lengths) == M2 // L // 2 + 1  # classes 0..R/2
+
+
+def test_sup_exp_sum_holds_a_few_class_arrays(rng, traced_peak):
+    # beside its input, one fold, one work block and one transform output of
+    # L = 2^16 complex values each: 3.1 MiB at N = 10^5, where the 2^18
+    # class floor traced 9.1 MiB
+    w = rng.standard_normal(10**5)
+    assert traced_peak(lambda: fourier.sup_exp_sum(w)) <= 4 * 16 * fourier._EXP_BLOCK
 
 
 def test_spectral_kernels_stay_within_a_multiple_of_their_input(rng, traced_peak):

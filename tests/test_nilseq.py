@@ -218,6 +218,17 @@ def test_mobius_battery_decay(table_1e6):
         assert big[name] < 0.05
 
 
+def test_battery_takes_its_support_one_block_at_a_time(table_1e6, traced_peak):
+    # 1.8 MiB traced at both sizes, about seven float64 arrays of one block
+    # of 2 _BLOCK values of n; with the whole support as int64 (4.9 MB at
+    # 10^6 for mu) the battery traced 6.0 MiB at 10^6 and 10.7 MiB at 2 10^6
+    mu = table_1e6.mobius[1:]
+    block = 8 * 2 * nilseq._BLOCK
+    half, full = (traced_peak(lambda: nilseq.correlation_battery(mu, N)) for N in (5 * 10**5, 10**6))
+    assert full <= 12 * block
+    assert full - half <= block  # nothing grows with N
+
+
 def test_battery_of_int8_weights_equals_float64(table_1e6):
     # mu keeps its int8 dtype; 10^5 points hold four blocks of mu's support
     mu = table_1e6.mobius[1 : 10**5 + 1]

@@ -122,6 +122,35 @@ def test_constraint_identity():
     assert 0 - 3 * 25 + 3 * 100 - 225 == 0
     assert obstruction.check_constraint_identity(1000, 1000)
     assert obstruction.check_constraint_identity(0, 0)
+    assert obstruction.check_constraint_identity(2, 3 * obstruction._BLOCK)  # rows past a block
+
+
+def test_constraint_identity_works_in_blocks(traced_peak):
+    # the whole 1001 x 1001 int64 grid and its temporaries traced 15.4 MiB;
+    # blocks of at most 2^16 cells trace 1.6 MiB
+    assert traced_peak(lambda: obstruction.check_constraint_identity(1000, 1000)) < 2 << 20
+
+
+def test_build_matches_whole_array_phases():
+    # N spans two whole blocks and part of a third
+    N, alpha = 2 * obstruction._BLOCK + 5, 0.1
+    x = np.arange(1, N + 1, dtype=np.int64)
+    inner = frac_dd(x, obstruction.SQRT3_HI, obstruction.SQRT3_LO, frac_half)
+    phases = {"A1": frac_dd(x * x, obstruction.SQRT2_HI, obstruction.SQRT2_LO, frac_half),
+              "A2": frac_dd(x * inner, obstruction.SQRT2_HI, obstruction.SQRT2_LO, frac_half)}
+    for kind, phase in phases.items():
+        got = obstruction.build(kind, N, alpha)
+        assert np.array_equal(got.membership, np.abs(phase) <= alpha / 2.0), kind
+
+
+def test_build_holds_its_membership_and_one_block(traced_peak):
+    # beside the N-byte membership, a block's phases take about eight
+    # float64 temporaries of _BLOCK (4.1 MiB for A1, 4.6 MiB for A2 at
+    # N = 10^5); whole-array phases traced 6.1 MiB and 6.9 MiB
+    N = 10**5
+    for kind in ("A1", "A2"):
+        peak = traced_peak(lambda: obstruction.build(kind, N, 0.1))
+        assert peak <= N + 10 * 8 * obstruction._BLOCK, kind
 
 
 def test_stats_report_schema(a1_1e5):
