@@ -11,8 +11,12 @@ Provides:
   it, the classes 1 and 5 mod 6 and the powers of 2 and 3; the
   Lambda-weighted AP averages read it in place of the column
 - balanced function of a set, 1_A - |A|/N
+- vonmangoldt_blocks: Lambda on [1, N] in blocks of 2^16, the table's
+  column sliced when it was read and otherwise built block by block
 - binary dump/load of tables (magic "HLM1", little-endian), or a load of
-  the N-prefix of a table with a larger limit
+  the N-prefix of a table with a larger limit; a dump streams Lambda in
+  those blocks, so dumping a table whose Lambda was never read never
+  makes the 8 B/n column
 - table: the one table path of the CLI and the acceptance suite; with
   HLM_DATA_DIR set, a run reads the smallest cached table whose limit is
   at least N, as a prefix, and otherwise builds and caches table_<N>.bin
@@ -47,6 +51,8 @@ MAGIC = b"HLM1"
 
 # Memory cap: N <= 10^8 keeps the three arrays near 1 GB.
 DEFAULT_LIMIT_CAP = 10**8
+
+_BLOCK = 1 << 16  # values of n per block: _mobius's comparison pass, vonmangoldt_blocks
 
 
 class CapacityError(ValueError):
@@ -154,9 +160,8 @@ def _mobius(N: int) -> np.ndarray:
         mobius[p::p] *= -1
         small_prime_prod[p::p] *= p
         mobius[p * p :: p * p] = 0
-    chunk = 1 << 16  # the comparison pass's temporaries stay O(chunk)
-    for lo in range(0, N + 1, chunk):
-        hi = min(lo + chunk, N + 1)
+    for lo in range(0, N + 1, _BLOCK):  # the comparison's temporaries stay O(_BLOCK)
+        hi = min(lo + _BLOCK, N + 1)
         rest = small_prime_prod[lo:hi] < np.arange(lo, hi, dtype=np.int32)
         mobius[lo:hi][rest] *= -1
     return mobius
@@ -182,6 +187,25 @@ def vonmangoldt_progression(is_prime, b: int, W: int, N: int) -> np.ndarray:
     hit = (pk >= b) & ((pk - b) % W == 0)
     out[(pk[hit] - b) // W] = logs[hit]
     return out
+
+
+def vonmangoldt_blocks(table: ArithTable):
+    """Yield Lambda(n) for n = lo .. min(lo + 2^16 - 1, N) as an array, for
+    lo = 1, 1 + 2^16, ... up to N = table.limit.
+
+    A table whose Lambda column was read yields slices of it; any other
+    yields vonmangoldt_progression on each block, read off is_prime, so
+    the 8 B/n column is never made. Both give the column's floats bit for
+    bit.
+    """
+    N = table.limit
+    column = table.__dict__.get("vonmangoldt")
+    for lo in range(1, N + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, N)
+        if column is not None:
+            yield column[lo : hi + 1]
+        else:
+            yield vonmangoldt_progression(table.is_prime, lo, 1, hi)
 
 
 def vonmangoldt_classes(is_prime, N: int):
@@ -241,15 +265,18 @@ def dump_table(table: ArithTable, path) -> None:
     """Binary dump: magic "HLM1", N as u64 LE, then the three arrays.
 
     Layout after the 12-byte header: is_prime as u8[N], mobius as i8[N],
-    vonmangoldt as f64-LE[N], each covering n = 1..N. Each column's own
-    buffer is written; only a big-endian host converts Lambda.
+    vonmangoldt as f64-LE[N], each covering n = 1..N. The 1-byte columns'
+    own buffers are written; Lambda is written in the blocks of
+    vonmangoldt_blocks, so a table whose Lambda was never read is dumped
+    without making that column. Only a big-endian host converts Lambda.
     """
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", table.limit))
         fh.write(np.asarray(table.is_prime[1:], dtype=bool).view(np.uint8))
         fh.write(np.asarray(table.mobius[1:], dtype=np.int8))
-        fh.write(np.asarray(table.vonmangoldt[1:], dtype="<f8"))
+        for block in vonmangoldt_blocks(table):
+            fh.write(np.asarray(block, dtype="<f8"))
 
 
 def load_table(path, N=None) -> ArithTable:

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import itertools
 from fractions import Fraction
 import json
 import math
@@ -120,11 +121,18 @@ def cmd_sieve(args) -> int:
     results = {
         "pi": int(tab.is_prime.sum()),
         "mertens": int(tab.mobius[1:].sum(dtype=np.int64)),
-        "mean_vonmangoldt": float(tab.vonmangoldt[1:].mean()),
+        "mean_vonmangoldt": _mean_vonmangoldt(tab),
         "dumped_to": args.dump,
     }
     _emit(_envelope("sieve", args, {"N": args.n}, results), args)
     return 0
+
+
+def _mean_vonmangoldt(tab) -> float:
+    """E_{n<=N} Lambda(n), the correctly rounded sum of the nonzero values
+    over N, read block by block so the sieve never holds the column."""
+    blocks = arith.vonmangoldt_blocks(tab)
+    return math.fsum(itertools.chain.from_iterable(b[b != 0].tolist() for b in blocks)) / tab.limit
 
 
 def cmd_expsum(args) -> int:

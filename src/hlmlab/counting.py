@@ -167,7 +167,9 @@ def equation_sum(coeffs, fs):
     read = conv[base + stride * lo : base + stride * hi + 1 : stride]
     f_r = f_r[lo : hi + 1]
     if not exact:
-        return free * float(np.dot(f_r, read))
+        # read is a view into conv, so the product allocates nothing; numpy's
+        # own sum keeps the value off BLAS and its thread count
+        return free * float(np.multiply(read, f_r, out=read).sum())
     rounded = np.rint(read)
     margin = float(np.abs(read - rounded).max())
     if margin >= 0.25:
@@ -620,7 +622,7 @@ def _enumerate_counts(table: ArithTable, system: LinearSystem, N: int, mode: str
     solve = np.array(solve, dtype=np.int64)
 
     isp = table.is_prime
-    rng = np.random.default_rng(seed)
+    rng = None if mode == "exact" else np.random.default_rng(seed)  # exact draws nothing
 
     observed = 0
     distinct = 0

@@ -8,8 +8,10 @@ bound 2*pi*N*E|w| per grid cell). That grid is never
 transformed whole: with M2 = R*L it is read as R frequency classes
 xi = R*j + r, each one transform of length L of the sequence folded mod L
 (the four-step split of Bailey, "FFTs in external or hierarchical memory",
-J. Supercomputing 4, 1990), so the memory beyond the input is O(L) with
-L = max(2^16, M2/32).
+J. Supercomputing 4, 1990), with L = max(2^16, M2/128), so at most 128
+classes. The classes are folded a group at a time (g*L = 2^17 points, two
+classes at L = 2^16) by one small real matmul per block of the input, so
+the input is read once per group and the memory beyond it is O(L).
 
 Arc classification follows the usual major/minor split: theta is major
 when its best rational approximation a/q with q <= log^A N (continued
@@ -54,6 +56,8 @@ class PowerIterationError(RuntimeError):
 
 _EXP_BLOCK = 1 << 16  # terms per exp_sum block, elements per Type II gather
 _CLASS_LEN = 1 << 16  # shortest class transform of sup_exp_sum, one _EXP_BLOCK
+_MAX_CLASSES = 128  # sup_exp_sum's class length is at least M2 / _MAX_CLASSES
+_GROUP_POINTS = 1 << 17  # g * L: the g complex folds of a group hold 2 MiB
 _MAX_LOG_Q = 700  # log of the largest arc cap Q; a double overflows past e^709.78
 
 
@@ -90,12 +94,18 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     e(-r*m/M2) * sum_q w(m + L*q) e(-r*q/R): class r is one transform of
     the input folded mod L, each fold block weighted, the fold twisted.
     Real input has |F(M2 - xi)| = |F(xi)|, so the classes r <= R/2 cover
-    the grid an rfft of length M2 would read; class 0 is an rfft, and it
-    is the only class when M2 <= 2^16. L = min(M2, max(2^16, M2/32)), so
-    there are at most 32 classes. One fold of L (whose float view also
-    takes the magnitudes) and one work block of 2^16 are made once and
-    reused by every class, so per class the only new length-L array is the
-    transform's output, and the memory beyond the input is O(L).
+    the grid an rfft of length M2 would read; class 0 is an rfft of the
+    plain fold, and it is the only class when M2 <= 2^16.
+    L = min(M2, max(2^16, M2/128)), so there are at most 128 classes and
+    at most 33 fold blocks. The classes 1..R/2 are folded g = 2^17 // L
+    (at least 1) at a time: for each block of 2^11 values of m, the fold
+    blocks' values there are widened into one float slab, and one real
+    matmul by the group's cos/sin table gives the g folds' real and
+    imaginary parts. So the input is read once per group, and the memory
+    beyond it is the g folds (2 MiB), one transform output of L, the slab
+    (at most 33 x 2^11 values) and pocketfft's scratch: 3.7 MiB traced at
+    L = 2^16. tests/test_cli.py checks that the values do not depend on
+    the BLAS thread count.
     Complex weights, which have no such mirror, are refused.
     """
     if oversample < 4:
@@ -107,48 +117,64 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     if N < 1:
         raise ValueError("need N >= 1")
     M2 = _padded_length(oversample * N)
-    L = min(M2, max(_CLASS_LEN, M2 // 32))
+    L = min(M2, max(_CLASS_LEN, M2 // _MAX_CLASSES))
     R = M2 // L
-    # fold block q holds n in [qL, (q+1)L) at offset n - qL; w(n) is w[n-1]
-    blocks = [(max(q * L, 1) - q * L, w[max(q * L, 1) - 1 : min((q + 1) * L, N + 1) - 1])
-              for q in range(N // L + 1)]
-    # one fold and one work block serve every class; the fold's float view
-    # holds class 0's real fold and then each class's magnitudes, so class 0
-    # alone needs only that view
-    fold = np.zeros(L if R > 1 else L // 2, dtype=np.complex128)
-    B = min(L, _EXP_BLOCK)
-    work = np.empty(B, dtype=np.complex128)
-    mags = fold.view(np.float64)[:L]
-    for lo, seg in blocks:
-        mags[lo : lo + seg.size] += seg
-    mags0 = np.abs(np.fft.rfft(mags), out=mags[: L // 2 + 1])
+    # fold block q holds w(n) = w[n-1] for n in [qL, (q+1)L) at m = n - qL:
+    # as (first block, m offset, 2-D view of its rows) pieces, block 0 from
+    # m = 1, the whole blocks as one view, and the last block's head
+    full = (N + 1) // L  # blocks q < full end inside [1, N]
+    pieces = [(0, 1, w[: min(L, N + 1) - 1][None])]
+    if full > 1:
+        pieces.append((1, 0, w[L - 1 : full * L - 1].reshape(full - 1, L)))
+    if 0 < full <= N // L:
+        pieces.append((full, 0, w[full * L - 1 :][None]))
+    Q = N // L + 1
+    g = min(R // 2, max(1, _GROUP_POINTS // L)) if R > 1 else 1
+    # class 0's fold (and then its magnitudes) sits in the first L floats of
+    # the g folds, and its rfft fills the head of the transform output
+    folds = np.zeros((g, L) if R > 1 else L // 2, dtype=np.complex128)
+    spec = np.empty(L if R > 1 else L // 2 + 1, dtype=np.complex128)
+    mags = folds.reshape(-1).view(np.float64)[:L]
+    for _, lo, view in pieces:
+        for row in view:
+            mags[lo : lo + row.size] += row
+    mags0 = np.abs(np.fft.rfft(mags, out=spec[: L // 2 + 1]), out=mags[: L // 2 + 1])
     j = int(np.argmax(mags0))
     best, best_xi = mags0[j], R * j
     # the twist e(-r*m/M2) is an outer product over m = m1*L2 + m2, so each
-    # class takes L/L2 + L2 exponentials, not L; r*m < M2 keeps them exact.
-    # L, the work block and L2 are powers of two, L2 the least of them.
+    # class takes L/L2 + L2 exponentials, not L; r*m < M2 keeps them exact
     L2 = 1 << (L.bit_length() // 2)
     m1, m2 = np.arange(0, L, L2), np.arange(L2)
-    for r in range(1, R // 2 + 1):
-        fold[:] = 0.0
-        for q, (lo, seg) in enumerate(blocks):
-            phase = np.exp(-2j * np.pi * ((r * q) % R) / R)
-            for i in range(0, seg.size, B):
-                s = seg[i : i + B]
-                fold[lo + i : lo + i + s.size] += np.multiply(s, phase, out=work[: s.size])
-        e1 = np.exp(-2j * np.pi * (r * m1) / M2)
-        e2 = np.exp(-2j * np.pi * (r * m2) / M2)
+    B = min(L, _EXP_BLOCK // 32)  # values of m per slab: 33 x 2^11 at most
+    slab = np.empty((Q, B))
+    parts = np.empty((B, g), dtype=np.complex128)
+    for r0 in range(1, R // 2 + 1, g):
+        # as floats, column 2k is Re e(-r_k*q/R) and column 2k+1 its Im
+        table = np.exp(-2j * np.pi * ((np.arange(Q)[:, None] * np.arange(r0, r0 + g)) % R) / R)
         for i in range(0, L, B):
-            twist = np.multiply.outer(e1[i // L2 : (i + B) // L2], e2, out=work.reshape(-1, L2))
-            fold[i : i + B] *= twist.ravel()
-        # this class holds its own mirror images when 2r = R: keep xi <= M2/2
-        cls = np.abs(np.fft.fft(fold), out=mags)[: L // 2 if 2 * r == R else L]
-        # among the top bins, the first has the least xi = R*j + r and the
-        # last the least mirror M2 - xi
-        first, last = int(np.argmax(cls)), cls.size - 1 - int(np.argmax(cls[::-1]))
-        top, x = cls[first], min(R * first + r, M2 - (R * last + r))
-        if top > best or (top == best and x < best_xi):
-            best, best_xi = top, x
+            for q0, lo, view in pieces:
+                a, b = max(i, lo), min(i + B, lo + view.shape[1])
+                rows = slice(q0, q0 + view.shape[0])
+                if b - a < B:
+                    slab[rows] = 0.0
+                if a < b:
+                    slab[rows, a - i : b - i] = view[:, a - lo : b - lo]
+            np.matmul(slab.T, table.view(np.float64), out=parts.view(np.float64))
+            folds[:, i : i + B] = parts.T
+        for fold, r in zip(folds, range(r0, min(r0 + g, R // 2 + 1))):
+            np.multiply.outer(np.exp(-2j * np.pi * (r * m1) / M2),
+                              np.exp(-2j * np.pi * (r * m2) / M2), out=spec.reshape(-1, L2))
+            fold *= spec
+            # the spent fold's floats take the magnitudes; this class holds
+            # its own mirror images when 2r = R: keep xi <= M2/2
+            cls = np.abs(np.fft.fft(fold, out=spec), out=fold.view(np.float64)[:L])
+            cls = cls[: L // 2 if 2 * r == R else L]
+            # among the top bins, the first has the least xi = R*j + r and
+            # the last the least mirror M2 - xi
+            first, last = int(np.argmax(cls)), cls.size - 1 - int(np.argmax(cls[::-1]))
+            top, x = cls[first], min(R * first + r, M2 - (R * last + r))
+            if top > best or (top == best and x < best_xi):
+                best, best_xi = top, x
     return best_xi / M2, float(best / N)
 
 

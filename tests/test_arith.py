@@ -281,6 +281,43 @@ def test_dump_writes_the_columns_without_copies(tmp_path, table_1e6, traced_peak
     assert traced_peak(lambda: arith.dump_table(table_1e6, tmp_path / "t.bin")) < 1 << 20
 
 
+@pytest.mark.parametrize("N", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 10**5])
+def test_vonmangoldt_blocks_are_the_column(N):
+    fresh = arith.build_table(N)
+    blocks = list(arith.vonmangoldt_blocks(fresh))
+    assert "vonmangoldt" not in fresh.__dict__  # built from is_prime alone
+    starts = range(1, N + 1, 1 << 16)
+    assert [b.size for b in blocks] == [min(1 << 16, N + 1 - lo) for lo in starts]
+    column = arith.build_table(N).vonmangoldt
+    assert np.concatenate(blocks).tobytes() == column[1:].tobytes()
+    # a table whose column was read yields slices of it
+    read = arith.ArithTable(N, vonmangoldt=column)
+    assert all(np.shares_memory(b, column) for b in arith.vonmangoldt_blocks(read))
+
+
+def test_dump_streams_lambda_when_the_column_was_never_read(tmp_path):
+    N = 3 * 2**16 + 5
+    fresh, read = arith.build_table(N), arith.build_table(N)
+    read.vonmangoldt
+    arith.dump_table(fresh, tmp_path / "fresh.bin")
+    arith.dump_table(read, tmp_path / "read.bin")
+    assert "vonmangoldt" not in fresh.__dict__
+    assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "read.bin").read_bytes()
+    for name in ("fresh", "read"):
+        back = arith.load_table(tmp_path / f"{name}.bin")
+        for col in ("is_prime", "mobius", "vonmangoldt"):
+            assert getattr(back, col).tobytes() == getattr(read, col).tobytes(), (name, col)
+
+
+def test_dump_without_the_lambda_column_holds_a_few_blocks(tmp_path, traced_peak):
+    # is_prime and mu are made first; Lambda's 8 B/n column (8 MB here) is
+    # not made, only blocks of 2^16 values
+    tab = arith.build_table(10**6)
+    tab.is_prime, tab.mobius
+    assert traced_peak(lambda: arith.dump_table(tab, tmp_path / "t.bin")) <= 4 * 8 << 16
+    assert "vonmangoldt" not in tab.__dict__
+
+
 def test_load_refuses_a_huge_header_before_allocating(tmp_path, traced_peak):
     path = tmp_path / "huge.bin"
     path.write_bytes(arith.MAGIC + struct.pack("<Q", 2**40) + bytes(100))

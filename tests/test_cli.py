@@ -1,3 +1,4 @@
+from fractions import Fraction
 import json
 import math
 import os
@@ -102,6 +103,21 @@ def test_sieve_expsum_arcs(capsys, tmp_path):
     assert [r["verdict"] for r in report["results"]] == ["major", "minor"]
 
 
+def test_sieve_mean_vonmangoldt_is_the_rounded_mean(capsys):
+    # fsum of the nonzero values over N: within one ulp of the exact mean,
+    # read block by block without the column
+    for N in (1, 2, 2**16 + 1, 10**5):
+        tab = arith.build_table(N)
+        mean = cli._mean_vonmangoldt(tab)
+        assert "vonmangoldt" not in tab.__dict__
+        exact = sum(map(Fraction, tab.vonmangoldt[1:][tab.vonmangoldt[1:] != 0].tolist()),
+                    Fraction(0)) / N
+        assert abs(Fraction(mean) - exact) <= Fraction(math.ulp(float(exact)))
+    # the value the whole column's mean gave at the benchmark's size
+    report = run_json(capsys, "sieve", "--n", "2000000")
+    assert report["results"]["mean_vonmangoldt"] == 1.0000575231035245
+
+
 def test_typesums_subcommand(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
     report = run_json(
@@ -153,17 +169,22 @@ _PEAK_SHIM = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], o
               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
+def run_child(argv, **env) -> str:
+    """The stdout of `python *argv`, run to exit 0 without a table cache and
+    with env added to this process's environment."""
+    env = {**{k: v for k, v in os.environ.items() if k != "HLM_DATA_DIR"}, **env}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def child_peaks_mb(argvs: dict) -> dict:
     """name -> the peak RSS in MB of `python -m hlmlab.cli *argv`, each run
     to exit 0 without a table cache."""
-    env = {k: v for k, v in os.environ.items() if k != "HLM_DATA_DIR"}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     peak_mb = {}
     for name, argv in argvs.items():
-        shim = subprocess.run([sys.executable, "-I", "-S", "-c", _PEAK_SHIM, sys.executable,
-                               "-m", "hlmlab.cli", *argv], env=env, capture_output=True,
-                              text=True, check=True)
-        code, rss_kb = map(int, shim.stdout.split()[-2:])
+        shim = run_child(["-I", "-S", "-c", _PEAK_SHIM, sys.executable, "-m", "hlmlab.cli", *argv])
+        code, rss_kb = map(int, shim.split()[-2:])
         assert code == 0, name
         peak_mb[name] = rss_kb / 1024  # KiB on Linux
     return peak_mb
@@ -188,6 +209,61 @@ def test_obstruction_and_mobius_children_stay_near_the_help_child():
                               "mobius": ["mobius-corr", "--n", "1000000"]})
     for name in ("obstruction", "mobius"):
         assert peak_mb[name] - peak_mb["help"] <= 12, peak_mb
+
+
+def test_phase_spectral_children_stay_near_the_help_child(tmp_path):
+    # as above; the three read +21.5, +20.7 and +18.4 MB with Lambda's 8 B/n
+    # column made for the dump and the mean, 2^18-point class transforms,
+    # and numpy.random imported for a Lipschitz estimate nothing read, and
+    # +12.2, +10.2 and +13.9 MB with Lambda streamed in blocks of 2^16,
+    # 2^16-point classes folded two at a time, and the estimate made when
+    # first read
+    n = "2000000"
+    peak_mb = child_peaks_mb({
+        "help": ["--help"],
+        "sieve": ["sieve", "--n", n, "--dump", str(tmp_path / "t.bin")],
+        "expsum": ["expsum", "--n", n, "--theta", "0.5", "--weights", "mobius"],
+        "nilseq": ["nilseq", "--alpha-g", repr(math.sqrt(2)), "--gamma-g", repr(math.sqrt(3)),
+                   "--n", "200000", "--format", "csv", "--out", str(tmp_path / "o.csv")]})
+    for name, bound in (("sieve", 16), ("expsum", 17), ("nilseq", 16)):
+        assert peak_mb[name] - peak_mb["help"] <= bound, peak_mb
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # the weighted 3-AP average read its product through BLAS ddot, whose
+    # summation order follows the thread count (...2341 with one thread,
+    # ...234 with two); sup_exp_sum's grouped folds are one small GEMM
+    for argv in (["count", "--k", "3", "--weighted", "--n", "1000000"],
+                 ["expsum", "--n", "1000000", "--weights", "mobius"]):
+        outs = []
+        for threads in ("1", "2"):
+            out = run_child(["-m", "hlmlab.cli", *argv], OPENBLAS_NUM_THREADS=threads)
+            outs.append(re.sub(r'"timestamp": "[^"]*"', "", out))
+        assert outs[0] == outs[1], argv
+
+
+def test_exact_paths_do_not_import_numpy_random(tmp_path):
+    # numpy.random loads _hashlib and libcrypto through secrets, about 6 MB
+    # of RSS per child, so only a path that draws imports it. typesums draws
+    # its Type II start vector and keeps it; these draw nothing
+    argvs = [
+        ["nilseq", "--alpha-g", "1.41", "--n", "1000", "--format", "csv",
+         "--out", str(tmp_path / "o.csv")],
+        ["mobius-corr", "--n", "10000"],
+        ["expsum", "--n", "10000", "--weights", "mobius"],
+        ["sieve", "--n", "10000"],
+        ["count", "--system", "1,-2,1,0;0,1,-2,1", "--n", "200"],
+    ]
+    script = ("import contextlib, io, json, sys\n"
+              "from hlmlab import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "    if argv[0] == 'count':\n"
+              "        assert json.loads(out.getvalue())['results']['method'] == 'enumerate'\n"
+              "    print(argv[0], 'numpy.random' in sys.modules)\n")
+    lines = run_child(["-c", script, json.dumps(argvs)]).split("\n")
+    assert lines[:-1] == [f"{argv[0]} False" for argv in argvs]
 
 
 def test_count_sweep_csv_mode(capsys):

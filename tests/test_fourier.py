@@ -25,6 +25,8 @@ def sup_input(kind, N, rng):
         return rng.random(N) < 0.3
     if kind == "real":
         return rng.standard_normal(N)
+    if kind == "int8":  # mu-like, as the table's column holds it
+        return rng.choice(np.array([-1, 0, 1], dtype=np.int8), N)
     if kind == "constant":
         return np.full(N, 0.75)
     if kind == "zero":
@@ -114,7 +116,7 @@ def test_sup_exp_sum_refuses_empty_input_like_exp_sum():
 def test_sup_exp_sum_matches_full_length_rfft(rng):
     # 2^14 +- 1 straddle the one-class limit (M2 = 2^16) at oversample 4,
     # and 2^16 +- 1 and 2^18 +- 1 give several classes and fold blocks;
-    # 10^6 at oversample 4 folds 8 blocks of 2^17 into 32 classes
+    # 10^6 at oversample 4 folds 16 blocks of 2^16 into 64 classes
     kinds = ("bool", "real", "constant", "zero", "parity")
     for N in (1, 2, 3, 2**14 - 1, 2**14 + 1, 2**16 - 1, 2**16 + 1, 2**18 - 1, 2**18 + 1):
         for kind in kinds:
@@ -125,20 +127,30 @@ def test_sup_exp_sum_matches_full_length_rfft(rng):
         assert_same_sup(sup_input(kind, 10**6, rng), 4)
 
 
+def class_length(N, oversample=4):
+    """sup_exp_sum's grid length M2 and class length L at N."""
+    M2 = fourier._padded_length(oversample * N)
+    return M2, min(M2, max(fourier._CLASS_LEN, M2 // fourier._MAX_CLASSES))
+
+
 def test_sup_exp_sum_matches_full_length_rfft_with_short_classes():
     # a shorter class transform gives many classes and fold blocks at small
-    # N, and L = M2/32 once M2 > 32 * _CLASS_LEN
+    # N, and L = M2/128 once M2 > 128 * _CLASS_LEN; a group of 1 to 5
+    # classes per read of the input, set through _GROUP_POINTS, often does
+    # not divide the R/2 classes past class 0
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         N=st.integers(1, 3000),
-        kind=st.sampled_from(["bool", "real", "constant", "zero", "parity"]),
+        kind=st.sampled_from(["bool", "int8", "real", "constant", "zero", "parity"]),
         oversample=st.integers(4, 9),
         class_bits=st.integers(1, 10),
+        group=st.integers(1, 5),
     )
-    def check(seed, N, kind, oversample, class_bits):
+    def check(seed, N, kind, oversample, class_bits, group):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fourier, "_CLASS_LEN", 1 << class_bits)
+            mp.setattr(fourier, "_GROUP_POINTS", group * class_length(N, oversample)[1])
             assert_same_sup(sup_input(kind, N, np.random.default_rng(seed)), oversample,
                             ties_within_rounding=True)
 
@@ -146,23 +158,28 @@ def test_sup_exp_sum_matches_full_length_rfft_with_short_classes():
 
 
 def test_sup_exp_sum_transforms_are_class_length(monkeypatch, rng):
-    N = 3 * 10**5
-    M2 = fourier._padded_length(4 * N)
-    L = max(fourier._CLASS_LEN, M2 // 32)
     lengths = []
     for name in ("rfft", "fft"):
         transform = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name,
                             lambda a, *args, _t=transform, **kw: lengths.append(len(a)) or _t(a, *args, **kw))
-    fourier.sup_exp_sum(rng.standard_normal(N))
-    assert max(lengths) <= L < M2
-    assert len(lengths) == M2 // L // 2 + 1  # classes 0..R/2
+    # at the default class floor and, with a floor of 2^10, at R = 128
+    # classes of the floor (3*10^4) and of M2/128 (10^5)
+    for class_bits, N in ((16, 3 * 10**5), (10, 3 * 10**4), (10, 10**5)):
+        monkeypatch.setattr(fourier, "_CLASS_LEN", 1 << class_bits)
+        M2, L = class_length(N)
+        R = M2 // L
+        lengths.clear()
+        fourier.sup_exp_sum(rng.standard_normal(N))
+        assert max(lengths) <= L < M2
+        assert 2 <= R <= 128
+        assert len(lengths) == R // 2 + 1  # classes 0..R/2
 
 
 def test_sup_exp_sum_holds_a_few_class_arrays(rng, traced_peak):
-    # beside its input, one fold, one work block and one transform output of
-    # L = 2^16 complex values each: 3.1 MiB at N = 10^5, where the 2^18
-    # class floor traced 9.1 MiB
+    # beside its input, the two folds of a group and one transform output of
+    # L = 2^16 complex values each, and a slab of at most 2^16 values: 3.7
+    # MiB at N = 10^5, where the 2^18 class floor traced 9.1 MiB
     w = rng.standard_normal(10**5)
     assert traced_peak(lambda: fourier.sup_exp_sum(w)) <= 4 * 16 * fourier._EXP_BLOCK
 

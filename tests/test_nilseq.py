@@ -161,6 +161,16 @@ def test_lipschitz_estimates_finite():
         assert 0 < F.lipschitz_estimate < 100
 
 
+def test_lipschitz_estimate_is_made_when_first_read():
+    F = nilseq.TestFunction.vertical_character(1)
+    assert F.evaluate(0.25, 0.5, 0.0) == pytest.approx(-1.0)
+    assert "lipschitz_estimate" not in F.__dict__
+    value = F.lipschitz_estimate
+    assert F.__dict__["lipschitz_estimate"] == value  # kept for every later read
+    # seeded, so every instance estimates the same value
+    assert nilseq.TestFunction.vertical_character(1).lipschitz_estimate == value
+
+
 def bilinear_embedding(theta1, theta2, N):
     """theta1*n*{theta2*n} as 10*theta1*N {n/(10N)}{theta2 n} for n <= N."""
     b = np.zeros((2, 2))
