@@ -1,10 +1,14 @@
 """Counting prime solutions of linear systems, with asymptotic predictions.
 
 Two kernels carry every count. equation_sum sums prod_i f_i(x_i) over
-x_i in [1, N_i] on one equation sum_i a_i x_i = 0, as one FFT product of
-the dilated sequences at a 5-smooth length (the circle-method identity
-on a long enough cyclic group). ap_sum sums prod_j f_j(x + j d) over x
-and d >= 1 for k sequences on [1, N].
+x_i in [1, N_i] on one equation sum_i a_i x_i = 0 by the circle-method
+identity on a cyclic group long enough to hold the linear convolution of
+the dilated sequences: as one FFT product at a 5-smooth length when the
+input is bool (exact counts) or that length is at most 2^16, and else
+from the spectra alone, one frequency class of about 2^16 points at a
+time (Parseval against the read sequence), so its transforms take O(2^16)
+memory at any N. ap_sum sums prod_j f_j(x + j d) over x and d >= 1 for
+k sequences on [1, N].
 
 Every prime progression sum, counted or Lambda-weighted and of any k,
 takes one route: the W-trick with W = 6. Each sequence is read as its
@@ -58,6 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import fourier
 from .arith import ArithTable, CapacityError, vonmangoldt_classes
 from .linsys import (LinearSystem, _bareiss, _digits, ap_system, closed_form_S3, closed_form_S4,
                      primitive_system, singular_series)
@@ -107,14 +112,17 @@ def equation_sum(coeffs, fs):
     """Sum over x with x_i in [1, N_i] and sum_i a_i x_i = 0 of prod_i fs[i][x_i].
 
     fs holds t sequences, fs[i] on [1, N_i] with N_i its length; a zero
-    coefficient leaves its coordinate free. The sum is one FFT product:
-    every other sequence is dilated by its a_i (reversed where a_i < 0),
-    and the inverse transform of the product of their spectra, at the
-    5-smooth length above their linear convolution, is read against the
-    sequence of the largest |a_i|, at that stride. A repeated (sequence,
-    coefficient) pair shares one spectrum, raised to its multiplicity in
-    place. All-bool inputs give an exact int (ArithmeticError when a read
-    value is 0.25 or more from an integer), any other real inputs a float.
+    coefficient leaves its coordinate free. Every sequence but the one of
+    the largest |a_i| is dilated by its a_i (reversed where a_i < 0), and
+    their linear convolution is read against that sequence, at that
+    stride. A repeated (sequence, coefficient) pair shares one spectrum,
+    raised to its multiplicity in place. All-bool inputs give an exact
+    int from one FFT product: the inverse transform of the product of the
+    spectra, at the 5-smooth length L above the convolution, each read
+    value rounded (ArithmeticError when one is 0.25 or more from an
+    integer). Any other real inputs give a float: the same product when
+    L <= 2^16, and else the sum read off the spectra by frequency classes
+    (_class_sum), with no transform longer than about 2^16 points.
     """
     fs = [np.asarray(f) for f in fs]
     coeffs = [int(a) for a in coeffs]
@@ -149,6 +157,8 @@ def equation_sum(coeffs, fs):
     if lo > hi:
         return free * 0
     L = _fft_length(top + 1)
+    if not exact and L > fourier._CLASS_LEN:
+        return free * _class_sum(groups.values(), f_r[lo : hi + 1], base + stride * lo, stride, top)
     spec = None
     for f, a, m in groups.values():
         if abs(a) == 1:
@@ -175,6 +185,43 @@ def equation_sum(coeffs, fs):
     if margin >= 0.25:
         raise ArithmeticError(f"FFT rounding margin {margin:.3g} >= 0.25: count not exact")
     return free * int(rounded[f_r].sum())
+
+
+def _class_sum(groups, read, start: int, stride: int, top: int) -> float:
+    """sum_t read[t] conv(start + stride t), conv the linear convolution of
+    the groups' dilated sequences (support [0, top]), by frequency classes.
+
+    By Parseval on Z_L, the sum is (1/L) sum_xi conj(H(xi)) prod_i S_i(xi)^m_i,
+    H the read sequence placed at its read points. With R = ceil((top + 1)
+    / 2^16) and L = R Lc, Lc the 5-smooth length >= (top + 1) / R, class
+    xi = R j + r of each spectrum is one Lc-point FFT of a twisted fold
+    (fourier._fold_classes), so no transform is longer than about 2^16.
+    Every sequence is real, so class R - r is the mirror image of class r:
+    classes 0 .. R/2 are summed, those with 0 < r < R/2 twice.
+    """
+    R = -(-(top + 1) // fourier._CLASS_LEN)
+    Lc = _fft_length(-(-(top + 1) // R))
+    # f(x) sits at a (x - 1), or at |a| (N_i - x) for a < 0
+    placed = [(fourier._fold_pieces(f if a > 0 else f[::-1], 0, abs(a), Lc), abs(a), m)
+              for f, a, m in groups]
+    read_pieces = fourier._fold_pieces(read, start, stride, Lc)
+    fold = np.empty((1, Lc), dtype=np.complex128)
+    spec, acc = np.empty(Lc, dtype=np.complex128), np.empty(Lc, dtype=np.complex128)
+    total = 0.0
+    for r in range(R // 2 + 1):
+        # spec is the twist's scratch until the fold is transformed into it
+        fourier._fold_classes(read_pieces, stride, R, r, fold, spec)
+        np.conjugate(np.fft.fft(fold[0], out=acc), out=acc)
+        for pieces, step, m in placed:
+            fourier._fold_classes(pieces, step, R, r, fold, spec)
+            s = np.fft.fft(fold[0], out=spec)
+            if m > 1:
+                s **= m
+            acc *= s
+        # numpy's own sum keeps the value off BLAS and its thread count
+        part = float(acc.real.sum())
+        total += part if 2 * r in (0, R) else 2.0 * part
+    return total / (R * Lc)
 
 
 def _fft_length(n: int) -> int:

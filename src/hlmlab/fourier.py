@@ -11,7 +11,10 @@ xi = R*j + r, each one transform of length L of the sequence folded mod L
 J. Supercomputing 4, 1990), with L = max(2^16, M2/128), so at most 128
 classes. The classes are folded a group at a time (g*L = 2^17 points, two
 classes at L = 2^16) by one small real matmul per block of the input, so
-the input is read once per group and the memory beyond it is O(L).
+the input is read once per group and the memory beyond it is O(L). That
+fold and twist is one kernel (_fold_pieces, _fold_classes) for a sequence
+placed at any start and step of any cyclic length R*L, which
+counting.equation_sum shares for its real sums past 2^16 points.
 
 Arc classification follows the usual major/minor split: theta is major
 when its best rational approximation a/q with q <= log^A N (continued
@@ -89,23 +92,18 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     M2 is the power-of-two grid length >= oversample*N. Returns
     (theta_star, value); ties resolve to the smallest grid frequency.
 
-    With F(xi) = sum_n w(n) e(-xi*n/M2), M2 = R*L, xi = R*j + r and
-    n = m + L*q (0 <= m < L), F(R*j + r) is the length-L DFT at j of
-    e(-r*m/M2) * sum_q w(m + L*q) e(-r*q/R): class r is one transform of
-    the input folded mod L, each fold block weighted, the fold twisted.
-    Real input has |F(M2 - xi)| = |F(xi)|, so the classes r <= R/2 cover
-    the grid an rfft of length M2 would read; class 0 is an rfft of the
-    plain fold, and it is the only class when M2 <= 2^16.
+    With M2 = R*L, class r of the grid is one length-L transform of the
+    input folded mod L and twisted (_fold_classes). Real input has
+    |F(M2 - xi)| = |F(xi)|, so the classes r <= R/2 cover the grid an
+    rfft of length M2 would read; class 0 is an rfft of the plain fold,
+    and it is the only class when M2 <= 2^16.
     L = min(M2, max(2^16, M2/128)), so there are at most 128 classes and
     at most 33 fold blocks. The classes 1..R/2 are folded g = 2^17 // L
-    (at least 1) at a time: for each block of 2^11 values of m, the fold
-    blocks' values there are widened into one float slab, and one real
-    matmul by the group's cos/sin table gives the g folds' real and
-    imaginary parts. So the input is read once per group, and the memory
-    beyond it is the g folds (2 MiB), one transform output of L, the slab
-    (at most 33 x 2^11 values) and pocketfft's scratch: 3.7 MiB traced at
-    L = 2^16. tests/test_cli.py checks that the values do not depend on
-    the BLAS thread count.
+    (at least 1) at a time, so the input is read once per group, and the
+    memory beyond it is the g folds (2 MiB), one transform output of L,
+    the slab (at most 33 x 2^11 values) and pocketfft's scratch: 3.7 MiB
+    traced at L = 2^16. tests/test_cli.py checks that the values do not
+    depend on the BLAS thread count.
     Complex weights, which have no such mirror, are refused.
     """
     if oversample < 4:
@@ -119,16 +117,7 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     M2 = _padded_length(oversample * N)
     L = min(M2, max(_CLASS_LEN, M2 // _MAX_CLASSES))
     R = M2 // L
-    # fold block q holds w(n) = w[n-1] for n in [qL, (q+1)L) at m = n - qL:
-    # as (first block, m offset, 2-D view of its rows) pieces, block 0 from
-    # m = 1, the whole blocks as one view, and the last block's head
-    full = (N + 1) // L  # blocks q < full end inside [1, N]
-    pieces = [(0, 1, w[: min(L, N + 1) - 1][None])]
-    if full > 1:
-        pieces.append((1, 0, w[L - 1 : full * L - 1].reshape(full - 1, L)))
-    if 0 < full <= N // L:
-        pieces.append((full, 0, w[full * L - 1 :][None]))
-    Q = N // L + 1
+    pieces = _fold_pieces(w, 1, 1, L)  # w(n) = w[n-1] sits at n
     g = min(R // 2, max(1, _GROUP_POINTS // L)) if R > 1 else 1
     # class 0's fold (and then its magnitudes) sits in the first L floats of
     # the g folds, and its rfft fills the head of the transform output
@@ -141,30 +130,9 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
     mags0 = np.abs(np.fft.rfft(mags, out=spec[: L // 2 + 1]), out=mags[: L // 2 + 1])
     j = int(np.argmax(mags0))
     best, best_xi = mags0[j], R * j
-    # the twist e(-r*m/M2) is an outer product over m = m1*L2 + m2, so each
-    # class takes L/L2 + L2 exponentials, not L; r*m < M2 keeps them exact
-    L2 = 1 << (L.bit_length() // 2)
-    m1, m2 = np.arange(0, L, L2), np.arange(L2)
-    B = min(L, _EXP_BLOCK // 32)  # values of m per slab: 33 x 2^11 at most
-    slab = np.empty((Q, B))
-    parts = np.empty((B, g), dtype=np.complex128)
     for r0 in range(1, R // 2 + 1, g):
-        # as floats, column 2k is Re e(-r_k*q/R) and column 2k+1 its Im
-        table = np.exp(-2j * np.pi * ((np.arange(Q)[:, None] * np.arange(r0, r0 + g)) % R) / R)
-        for i in range(0, L, B):
-            for q0, lo, view in pieces:
-                a, b = max(i, lo), min(i + B, lo + view.shape[1])
-                rows = slice(q0, q0 + view.shape[0])
-                if b - a < B:
-                    slab[rows] = 0.0
-                if a < b:
-                    slab[rows, a - i : b - i] = view[:, a - lo : b - lo]
-            np.matmul(slab.T, table.view(np.float64), out=parts.view(np.float64))
-            folds[:, i : i + B] = parts.T
+        _fold_classes(pieces, 1, R, r0, folds, spec)
         for fold, r in zip(folds, range(r0, min(r0 + g, R // 2 + 1))):
-            np.multiply.outer(np.exp(-2j * np.pi * (r * m1) / M2),
-                              np.exp(-2j * np.pi * (r * m2) / M2), out=spec.reshape(-1, L2))
-            fold *= spec
             # the spent fold's floats take the magnitudes; this class holds
             # its own mirror images when 2r = R: keep xi <= M2/2
             cls = np.abs(np.fft.fft(fold, out=spec), out=fold.view(np.float64)[:L])
@@ -176,6 +144,82 @@ def sup_exp_sum(weights, oversample: int = 4) -> tuple[float, float]:
             if top > best or (top == best and x < best_xi):
                 best, best_xi = top, x
     return best_xi / M2, float(best / N)
+
+
+def _fold_pieces(x, start: int, step: int, Lc: int):
+    """x placed at the points start + step*t of a cyclic group of length
+    R*Lc, cut into fold blocks of Lc: (fold block q, offset, 2-D view)
+    pieces, whose rows are the blocks q, q + 1, ... and whose column c
+    sits at m = offset + step*c of its block. A step of 1 takes the whole
+    blocks as one view; a longer step takes one piece per block, every
+    block from the first point's to the last's, empty ones too.
+    """
+    n = x.size
+    if step > 1:
+        pieces = []
+        for q in range(start // Lc, (start + step * (n - 1)) // Lc + 1):
+            a = max(0, -(-(q * Lc - start) // step))
+            b = min(n, -(-((q + 1) * Lc - start) // step))
+            pieces.append((q, start + step * a - q * Lc, x[a:b][None]))
+        return pieces
+    q, lo = divmod(start, Lc)
+    head = min(n, Lc - lo)
+    whole = (n - head) // Lc
+    pieces = [(q, lo, x[:head][None])]
+    if whole:
+        pieces.append((q + 1, 0, x[head : head + whole * Lc].reshape(whole, Lc)))
+    if head + whole * Lc < n:
+        pieces.append((q + 1 + whole, 0, x[head + whole * Lc :][None]))
+    return pieces
+
+
+def _fold_classes(pieces, step: int, R: int, r0: int, folds, twist) -> None:
+    """Fill folds[k] with class r = r0 + k of a placed sequence, as one
+    transform of length Lc = folds.shape[1] reads it.
+
+    With X(xi) = sum_n x_n e(-xi*n/L) for the sequence placed on Z_L,
+    L = R*Lc (_fold_pieces), xi = R*j + r and n = m + Lc*q (0 <= m < Lc),
+    X(R*j + r) is the length-Lc DFT at j of
+    e(-r*m/L) * sum_q x_{m + Lc*q} e(-r*q/R): the sequence folded mod Lc,
+    each fold block weighted, the fold twisted (the four-step split of
+    Bailey). For each block of 2^11 values of m, the fold blocks' values
+    there are widened into one float slab, and one real matmul by the
+    group's cos/sin table gives the folds' real and imaginary parts, so
+    the sequence is read once per call. twist is scratch of at least Lc.
+    """
+    g, Lc = folds.shape
+    L = R * Lc
+    q0 = pieces[0][0]
+    Q = pieces[-1][0] + pieces[-1][2].shape[0] - q0
+    # as floats, column 2k is Re e(-r_k*q/R) and column 2k+1 its Im
+    qr = np.arange(q0, q0 + Q)[:, None] * np.arange(r0, r0 + g)
+    table = np.exp(-2j * np.pi * (qr % R) / R)
+    B = min(Lc, _EXP_BLOCK // 32)  # values of m per slab: 33 x 2^11 at most in sup_exp_sum
+    slab = np.empty((Q, B))
+    parts = np.empty((B, g), dtype=np.complex128)
+    for i in range(0, Lc, B):
+        for q, lo, view in pieces:
+            a = max(0, -(-(i - lo) // step))  # the columns at m in [i, i + B)
+            b = min(view.shape[1], -(-(i + B - lo) // step))
+            rows = slice(q - q0, q - q0 + view.shape[0])
+            if b - a < B:
+                slab[rows] = 0.0
+            if a < b:
+                slab[rows, lo + step * a - i : lo + step * (b - 1) - i + 1 : step] = view[:, a:b]
+        np.matmul(slab.T, table.view(np.float64), out=parts.view(np.float64))
+        folds[:, i : i + B] = parts[: Lc - i].T
+    # the twist e(-r*m/L) is an outer product over m = m1*L2 + m2, so each
+    # class takes Lc/L2 + L2 exponentials, not Lc; r*m < L keeps them exact
+    L2 = 1 << (Lc.bit_length() // 2)
+    L1 = Lc // L2  # and a tail of Lc - L1*L2 < L2 values of m
+    m1, m2 = np.arange(0, L1 * L2, L2), np.arange(L2)
+    for fold, r in zip(folds, range(r0, r0 + g)):
+        inner = np.exp(-2j * np.pi * (r * m2) / L)
+        np.multiply.outer(np.exp(-2j * np.pi * (r * m1) / L), inner,
+                          out=twist[: L1 * L2].reshape(L1, L2))
+        np.multiply(np.exp(-2j * np.pi * (r * L1 * L2) / L), inner[: Lc - L1 * L2],
+                    out=twist[L1 * L2 : Lc])
+        fold *= twist[:Lc]
 
 
 def classify_arc(theta: float, N: int, A: float) -> ArcClassification:

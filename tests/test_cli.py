@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 import json
 import math
 import os
@@ -118,6 +119,15 @@ def test_sieve_mean_vonmangoldt_is_the_rounded_mean(capsys):
     assert report["results"]["mean_vonmangoldt"] == 1.0000575231035245
 
 
+def test_sieve_mean_vonmangoldt_from_the_primes_is_the_block_fsum():
+    # the fsum of log p over the prime powers, with no Lambda block, is the
+    # float the fsum of the column's nonzero values in blocks of 2^16 gave
+    for N in (1, 2, 10, 2**16, 2**16 + 1, 10**5, 2 * 10**6, 3 * 10**6):
+        tab = arith.build_table(N)
+        blocks = (b[b != 0].tolist() for b in arith.vonmangoldt_blocks(tab))
+        assert cli._mean_vonmangoldt(tab) == math.fsum(itertools.chain.from_iterable(blocks)) / N
+
+
 def test_typesums_subcommand(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HLM_DATA_DIR", str(tmp_path))
     report = run_json(
@@ -229,12 +239,25 @@ def test_phase_spectral_children_stay_near_the_help_child(tmp_path):
         assert peak_mb[name] - peak_mb["help"] <= bound, peak_mb
 
 
+def test_weighted_ap_count_child_stays_near_the_help_child():
+    # as above; the weighted 3-AP average at 3*10^6 read +27.1 MB with one
+    # transform of 500,000 points per parity class, and +16.8 MB with each
+    # read as R = 8 frequency classes of 62,500 points
+    peak_mb = child_peaks_mb({"help": ["--help"],
+                              "weighted": ["count", "--k", "3", "--weighted", "--n", "3000000"]})
+    assert peak_mb["weighted"] - peak_mb["help"] <= 20, peak_mb
+
+
 def test_reports_do_not_depend_on_the_blas_thread_count():
     # the weighted 3-AP average read its product through BLAS ddot, whose
     # summation order follows the thread count (...2341 with one thread,
-    # ...234 with two); sup_exp_sum's grouped folds are one small GEMM
+    # ...234 with two); sup_exp_sum's grouped folds and the weighted
+    # average's class folds (R = 3 at 10^6) are small GEMMs, the Type II
+    # sums a matvec and the U^2 base a GEMM at M <= 128
     for argv in (["count", "--k", "3", "--weighted", "--n", "1000000"],
-                 ["expsum", "--n", "1000000", "--weights", "mobius"]):
+                 ["expsum", "--n", "1000000", "--weights", "mobius"],
+                 ["typesums", "--n", "200000", "--d", "100", "--w", "100"],
+                 ["gowers", "--k", "3", "--m", "101"]):
         outs = []
         for threads in ("1", "2"):
             out = run_child(["-m", "hlmlab.cli", *argv], OPENBLAS_NUM_THREADS=threads)

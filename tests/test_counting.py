@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
-from hlmlab import arith, counting, linsys, obstruction
+from hlmlab import arith, counting, fourier, linsys, obstruction
 
 
 def oracle_ap_count(table, N, k):
@@ -207,6 +207,23 @@ def test_packed_walk_stays_within_8_bytes_per_entry(traced_peak):
         assert traced_peak(lambda: counting.ap_sum(fs)) <= distinct * (8 * N + pad) + block
 
 
+def draw_equation(data, t: int, n: int, boolean: bool, unequal: bool):
+    """t nonzero coefficients in [-5, 5] and t sequences on [1, n] (or each
+    of its own length up to 40), a drawn index reusing an earlier one."""
+    coeffs = data.draw(st.lists(st.integers(1, 5) | st.integers(-5, -1), min_size=t, max_size=t))
+    elements = st.booleans() if boolean else st.floats(-1.0, 1.0)
+    dtype = bool if boolean else np.float64
+    fs = []
+    for _ in range(t):
+        reuse = data.draw(st.integers(0, len(fs)))
+        if reuse == len(fs):
+            size = data.draw(st.integers(0, 40)) if unequal else n
+            fs.append(data.draw(arrays(dtype, size, elements=elements, fill=st.nothing())))
+        else:
+            fs.append(fs[reuse])
+    return coeffs, fs
+
+
 def test_equation_sum_matches_literal_loop():
     @settings(max_examples=200, deadline=None)
     @given(
@@ -217,18 +234,7 @@ def test_equation_sum_matches_literal_loop():
         unequal=st.booleans(),
     )
     def check(data, t, n, boolean, unequal):
-        coeffs = data.draw(st.lists(st.integers(1, 5) | st.integers(-5, -1),
-                                    min_size=t, max_size=t))
-        elements = st.booleans() if boolean else st.floats(-1.0, 1.0)
-        dtype = bool if boolean else np.float64
-        fs = []
-        for _ in range(t):  # a drawn index reuses an earlier sequence
-            reuse = data.draw(st.integers(0, len(fs)))
-            if reuse == len(fs):
-                size = data.draw(st.integers(0, 40)) if unequal else n
-                fs.append(data.draw(arrays(dtype, size, elements=elements, fill=st.nothing())))
-            else:
-                fs.append(fs[reuse])
+        coeffs, fs = draw_equation(data, t, n, boolean, unequal)
         got = counting.equation_sum(coeffs, fs)
         want = oracle_equation_sum(coeffs, fs)
         if boolean:
@@ -247,6 +253,98 @@ def test_equation_sum_matches_literal_loop():
                 fs = [np.array(bits[a:b], dtype=bool) for a, b in zip(cuts, cuts[1:])]
                 got = counting.equation_sum(coeffs, fs)
                 assert type(got) is int and got == oracle_equation_sum(coeffs, fs)
+
+
+def class_routes():
+    """Patch _class_sum to record its calls."""
+    return mock.patch.object(counting, "_class_sum", wraps=counting._class_sum)
+
+
+def test_equation_sum_by_frequency_classes_matches_literal_loop():
+    # with the class length cut from 2^16 to 8..64 points, real input takes
+    # the class route whenever its transform would pass that length, with
+    # R = ceil((top + 1) / class length) classes; slabs of 1 to 8 values of
+    # m (_EXP_BLOCK // 32) make each fold span several slabs
+    classes = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), t=st.integers(2, 4), n=st.integers(0, 40), unequal=st.booleans(),
+           class_len=st.integers(8, 64), slab=st.integers(1, 8))
+    def check(data, t, n, unequal, class_len, slab):
+        coeffs, fs = draw_equation(data, t, n, False, unequal)
+        with (mock.patch.object(fourier, "_CLASS_LEN", class_len),
+              mock.patch.object(fourier, "_EXP_BLOCK", 32 * slab), class_routes() as route):
+            got = counting.equation_sum(coeffs, fs)
+        classes.extend(-(-(c.args[4] + 1) // class_len) for c in route.call_args_list)
+        assert type(got) is float
+        assert got == pytest.approx(oracle_equation_sum(coeffs, fs), rel=1e-9, abs=1e-9)
+
+    check()
+    assert len(classes) >= 20 and max(classes) >= 4
+    # multiplicities 2 and 3 of dilated and reversed sequences, the read
+    # sequence first and last, lengths that are no multiple of the class
+    # length, and an empty sequence
+    rng = np.random.default_rng(28)
+    f, g, h = rng.uniform(-1, 1, 23), rng.uniform(-1, 1, 17), rng.uniform(-1, 1, 30)
+    for coeffs, fs in (((-1, 1, 1), (h, f, f)), ((1, 1, -1), (f, f, h)),
+                       ((5, -2, -2, 1), (g, f, f, h)), ((3, 3, 3, -5), (g, g, g, h)),
+                       ((-2, -2, -2, 5), (g, g, g, f)), ((-4, 1, -1, 3), (f, g, h, g)),
+                       ((2, -1, 1), (f, h, np.array([])))):
+        for class_len, slab in ((8, 3), (13, 5), (20, 2048)):
+            with (mock.patch.object(fourier, "_CLASS_LEN", class_len),
+                  mock.patch.object(fourier, "_EXP_BLOCK", 32 * slab), class_routes() as route):
+                got = counting.equation_sum(coeffs, fs)
+            assert route.call_count == (fs[-1].size > 0)
+            assert got == pytest.approx(oracle_equation_sum(coeffs, fs), rel=1e-12, abs=1e-12)
+
+
+def test_equation_sum_keeps_bool_input_on_one_transform(monkeypatch):
+    # exact counts round and margin-check each read value, which a class
+    # total cannot give: bool input never takes the class route
+    monkeypatch.setattr(fourier, "_CLASS_LEN", 8)
+    rng = np.random.default_rng(29)
+    f, g = rng.random(40) < 0.5, rng.random(27) < 0.5
+    for coeffs, fs in (((-1, 1, 1), (f, g, g)), ((2, -3, 1), (g, f, f)), ((1, 1, -2), (f, f, g))):
+        with class_routes() as route:
+            got = counting.equation_sum(coeffs, fs)
+        assert route.call_count == 0
+        assert type(got) is int and got == oracle_equation_sum(coeffs, fs)
+        with class_routes() as route:
+            counting.equation_sum(coeffs, [x.astype(float) for x in fs])
+        assert route.call_count == 1
+
+
+def single_transform_sum(coeffs, fs):
+    """equation_sum on (-s, a_1, ..., a_k), s and every a_i > 0, for real
+    sequences, as one FFT product at the length of the linear convolution:
+    f_i(x) is placed at a_i (x - 1), and the convolution is read at
+    s x_0 - sum_i a_i against f_0(x_0)."""
+    (s, *rest), (f0, *others) = coeffs, fs
+    top = sum(a * (f.size - 1) for a, f in zip(rest, others))
+    spec = 1.0
+    for a, f in zip(rest, others):
+        seq = np.zeros(top + 1)
+        seq[: a * (f.size - 1) + 1 : a] = f
+        spec = spec * np.fft.rfft(seq)
+    conv = np.fft.irfft(spec, top + 1)
+    n = -s * np.arange(1, f0.size + 1) - sum(rest)
+    inside = (n >= 0) & (n <= top)
+    return float(np.sum(f0[inside] * conv[n[inside]]))
+
+
+def test_weighted_classes_match_a_single_transform(table_1e6, monkeypatch):
+    # at 10^5 every transform is below 2^16 points; at 10^6 and 3*10^6 the
+    # parity classes' transforms are read as R = 3 and R = 8 classes
+    for N, table, R in ((10**5, table_1e6, None), (10**6, table_1e6, 3),
+                        (3 * 10**6, arith.build_table(3 * 10**6), 8)):
+        with class_routes() as route:
+            got = counting.weighted_ap_average(table, N, 3)
+        assert {-(-(c.args[4] + 1) // fourier._CLASS_LEN) for c in route.call_args_list} == (
+            {R} if R else set())
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "equation_sum", single_transform_sum)
+            want = counting.weighted_ap_average(table, N, 3)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_equation_sum_refuses_a_wide_rounding_margin(monkeypatch):
