@@ -196,7 +196,8 @@ def vonmangoldt_blocks(table: ArithTable):
     A table whose Lambda column was read yields slices of it; any other
     yields vonmangoldt_progression on each block, read off is_prime, so
     the 8 B/n column is never made. Both give the column's floats bit for
-    bit.
+    bit, in the blocks fourier.exp_sums sums, so its sums over these
+    blocks equal exp_sum's over the column.
     """
     N = table.limit
     column = table.__dict__.get("vonmangoldt")

@@ -2,17 +2,23 @@
 
 Exponential sums over [1, N] are plain averages E_{n<=N} w(n) e(theta*n),
 e(t) = exp(2*pi*i*t), evaluated by direct summation in blocks of 2^16
-terms; the supremum over theta is searched on the grid xi/M2, M2 the
-power of two >= oversample*N (grid error is bounded by the derivative
-bound 2*pi*N*E|w| per grid cell). That grid is never
-transformed whole: with M2 = R*L it is read as R frequency classes
-xi = R*j + r, each one transform of length L of the sequence folded mod L
-(the four-step split of Bailey, "FFTs in external or hierarchical memory",
-J. Supercomputing 4, 1990), with L = max(2^16, M2/128), so at most 128
-classes. The classes are folded a group at a time (g*L = 2^17 points, two
-classes at L = 2^16) by one small real matmul per block of the input, so
-the input is read once per group and the memory beyond it is O(L). That
-fold and twist is one kernel (_fold_pieces, _fold_classes) for a sequence
+terms. exp_sums takes w as those blocks, for several theta in one pass:
+every block but the last must hold exactly 2^16 terms (a stream such as
+arith.vonmangoldt_blocks keeps its own block size, so a block of another
+length is refused, not summed in another order), and exp_sum is exp_sums
+on an array's slices, so both give the same bits.
+
+The supremum over theta is searched on the grid xi/M2, M2 the power of
+two >= oversample*N (grid error is bounded by the derivative bound
+2*pi*N*E|w| per grid cell). That grid is never transformed whole: with
+M2 = R*L it is read as R frequency classes xi = R*j + r, each one
+transform of length L of the sequence folded mod L (the four-step split
+of Bailey, "FFTs in external or hierarchical memory", J. Supercomputing
+4, 1990), with L = min(M2, max(2^16, M2/128)), so at most 128 classes.
+The classes are folded a group at a time (g*L = 2^17 points, two classes
+at L = 2^16) by one small real matmul per block of the input, so the
+input is read once per group and the memory beyond it is O(L). That fold
+and twist is one kernel (_fold_pieces, _fold_classes) for a sequence
 placed at any start and step of any cyclic length R*L, which
 counting.equation_sum shares for its real sums past 2^16 points.
 
@@ -57,29 +63,46 @@ class PowerIterationError(RuntimeError):
         self.last_value = last_value
 
 
-_EXP_BLOCK = 1 << 16  # terms per exp_sum block, elements per Type II gather
+_EXP_BLOCK = 1 << 16  # terms per exp_sums block, elements per Type II gather
 _CLASS_LEN = 1 << 16  # shortest class transform of sup_exp_sum, one _EXP_BLOCK
 _MAX_CLASSES = 128  # sup_exp_sum's class length is at least M2 / _MAX_CLASSES
 _GROUP_POINTS = 1 << 17  # g * L: the g complex folds of a group hold 2 MiB
 _MAX_LOG_Q = 700  # log of the largest arc cap Q; a double overflows past e^709.78
 
 
-def exp_sum(weights, theta: float) -> complex:
-    """E_{n<=N} w(n) e(theta*n) by direct summation, in blocks of 2^16 terms.
+def exp_sums(blocks, thetas) -> list[complex]:
+    """E_{n<=N} w(n) e(theta*n) for each theta in thetas, in one pass over
+    w's consecutive blocks of 2^16 terms, of which only the last may be
+    shorter; a block of any other length is refused.
 
-    weights[i] is the weight at n = i+1. The phase theta*n is reduced
-    mod 1 before exponentiation to keep the argument small.
+    Each block is taken once and summed for every theta, and each theta's
+    total adds the block sums in order, so the blocks of a column give the
+    values exp_sum gives on the column bit for bit. The phase theta*n is
+    reduced mod 1 before exponentiation to keep the argument small.
     """
-    w = np.asarray(weights)
-    N = w.size
+    thetas = tuple(thetas)
+    totals = [0j] * len(thetas)
+    N, last = 0, _EXP_BLOCK  # last: the length of the block before
+    for block in blocks:
+        w = np.asarray(block)
+        if last != _EXP_BLOCK or w.size > _EXP_BLOCK:
+            raise ValueError(f"need blocks of {_EXP_BLOCK} terms, only the last shorter")
+        n = np.arange(N + 1, N + w.size + 1, dtype=np.float64)
+        for i, theta in enumerate(thetas):
+            totals[i] += np.sum(w * np.exp(2j * np.pi * frac01(theta * n)))
+        N, last = N + w.size, w.size
     if N < 1:
         raise ValueError("need N >= 1")
-    total = 0j
-    for lo in range(0, N, _EXP_BLOCK):
-        hi = min(lo + _EXP_BLOCK, N)
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        total += np.sum(w[lo:hi] * np.exp(2j * np.pi * frac01(theta * n)))
-    return complex(total / N)
+    return [complex(total / N) for total in totals]
+
+
+def exp_sum(weights, theta: float) -> complex:
+    """E_{n<=N} w(n) e(theta*n): exp_sums on weights' slices of 2^16 terms.
+
+    weights[i] is the weight at n = i+1.
+    """
+    w = np.asarray(weights)
+    return exp_sums((w[lo : lo + _EXP_BLOCK] for lo in range(0, w.size, _EXP_BLOCK)), (theta,))[0]
 
 
 def _padded_length(n: int) -> int:

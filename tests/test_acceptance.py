@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from hlmlab import acceptance, counting, linsys
+from hlmlab import acceptance, arith, counting, fourier, linsys
 
 
 def _run(tab, cid):
@@ -131,6 +131,18 @@ def test_a4_ratio_gate(table_1e6):
 
 def test_a5_exp_sum_spots(table_1e6):
     assert _run(table_1e6, "A5").passed
+
+
+def test_a5_never_makes_the_lambda_column():
+    # a fresh table: the session's table_1e6 has its column read by other tests
+    tab = arith.build_table(10**6)
+    res = _run(tab, "A5")
+    assert res.passed
+    assert "vonmangoldt" not in tab.__dict__
+    lam = tab.vonmangoldt[1 : 10**6 + 1]
+    assert res.measured == {"S0": abs(fourier.exp_sum(lam, 0.0)),
+                            "S_half": abs(fourier.exp_sum(lam, 0.5)),
+                            "S_third": abs(fourier.exp_sum(lam, 1.0 / 3.0))}
 
 
 def test_a6_davenport_decay(table_1e6):

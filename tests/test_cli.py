@@ -221,6 +221,13 @@ def test_obstruction_and_mobius_children_stay_near_the_help_child():
         assert peak_mb[name] - peak_mb["help"] <= 12, peak_mb
 
 
+def test_exp_sum_spot_child_stays_near_the_help_child():
+    # as above; A5 alone read +13.3-13.4 MB while it summed over Lambda's 8 B/n
+    # column, and +6.2-6.4 MB with Lambda streamed in blocks of 2^16
+    peak_mb = child_peaks_mb({"help": ["--help"], "a5": ["acceptance", "--only", "A5"]})
+    assert peak_mb["a5"] - peak_mb["help"] <= 10, peak_mb
+
+
 def test_phase_spectral_children_stay_near_the_help_child(tmp_path):
     # as above; the three read +21.5, +20.7 and +18.4 MB with Lambda's 8 B/n
     # column made for the dump and the mean, 2^18-point class transforms,

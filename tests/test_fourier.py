@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlmlab import fourier
+from hlmlab import arith, fourier
 from hlmlab._phase import frac01
 
 
@@ -70,6 +70,69 @@ def test_exp_sum_matches_mean_across_block_edges(rng):
         for theta in (0.0, 0.5, 1 / 3, math.sqrt(2) - 1):
             want = np.mean(w * np.exp(2j * np.pi * frac01(theta * n)))
             assert abs(fourier.exp_sum(w, theta) - want) <= 1e-12 * np.abs(w).mean()
+
+
+SPOT_THETAS = (0.0, 0.5, 1 / 3)
+
+
+@pytest.fixture(scope="module")
+def dumped_1e6(tmp_path_factory):
+    """A fresh table at 10^6 dumped (its Lambda streamed, never made whole)."""
+    path = tmp_path_factory.mktemp("tables") / "t.bin"
+    arith.dump_table(arith.build_table(10**6), path)
+    return path
+
+
+def assert_streamed_lambda_sums_equal_the_column_sums(tab, thetas):
+    got = fourier.exp_sums(arith.vonmangoldt_blocks(tab), thetas)
+    assert "vonmangoldt" not in tab.__dict__  # the blocks were built, not sliced
+    want = [fourier.exp_sum(tab.vonmangoldt[1:], theta) for theta in thetas]
+    assert got == want
+    # a table whose column was read yields its slices, with the same sums
+    assert fourier.exp_sums(arith.vonmangoldt_blocks(tab), thetas) == want
+
+
+@pytest.mark.parametrize("N", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**5, 10**6])
+@pytest.mark.parametrize("source", ["fresh", "loaded"])
+def test_exp_sums_of_lambda_blocks_equal_exp_sum_of_the_column(N, source, dumped_1e6):
+    tab = arith.build_table(N) if source == "fresh" else arith.load_table(dumped_1e6, N)
+    assert_streamed_lambda_sums_equal_the_column_sums(tab, SPOT_THETAS + (math.sqrt(2) - 1,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(1, 3 * 2**16 + 7), loaded=st.booleans(),
+       thetas=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
+def test_exp_sums_of_lambda_blocks_at_drawn_thetas(N, loaded, thetas, dumped_1e6):
+    tab = arith.load_table(dumped_1e6, N) if loaded else arith.build_table(N)
+    assert_streamed_lambda_sums_equal_the_column_sums(tab, SPOT_THETAS + tuple(thetas))
+
+
+def test_exp_sums_of_int8_mobius_blocks_equal_exp_sum_of_the_column(table_1e6):
+    mu = table_1e6.mobius[1:]
+    blocks = [mu[lo : lo + fourier._EXP_BLOCK] for lo in range(0, mu.size, fourier._EXP_BLOCK)]
+    assert blocks[0].dtype == np.int8
+    want = [fourier.exp_sum(mu, theta) for theta in SPOT_THETAS]
+    assert fourier.exp_sums(blocks, SPOT_THETAS) == want
+
+
+def test_exp_sums_refuses_blocks_off_its_block_length():
+    B = fourier._EXP_BLOCK
+    assert fourier.exp_sums([np.ones(B), np.ones(3)], (0.0,)) == [1.0]  # a short last block
+    for blocks in ([np.ones(10), np.ones(10)],  # a short block in the middle
+                   [np.ones(B), np.ones(B - 1), np.ones(B)],
+                   [np.ones(B), np.ones(0), np.ones(5)],
+                   [np.ones(B + 1)]):  # a long block
+        with pytest.raises(ValueError, match="need blocks of 65536 terms"):
+            fourier.exp_sums(blocks, (0.0, 0.5))
+
+
+def test_exp_sums_refuses_empty_input_like_exp_sum():
+    with pytest.raises(ValueError) as plain:
+        fourier.exp_sum([], 0.0)
+    for blocks in ([], [np.ones(0)]):
+        with pytest.raises(ValueError) as blocked:
+            fourier.exp_sums(blocks, (0.0,))
+        assert str(blocked.value) == str(plain.value)
 
 
 def test_sup_exp_sum_nonnegative_weights_peak_at_zero():
