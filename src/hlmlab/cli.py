@@ -288,13 +288,16 @@ def cmd_nilseq(args) -> int:
         F = nilseq.TestFunction.vertical_character(int(args.character[9:]))
     else:
         raise ValueError(f"unknown character {args.character!r}")
-    table = nilseq.nilsequence_table(F, g, nilseq.ORIGIN, args.n)
     if args.format == "csv":
-        _check_finite(table)
+        # every block is checked before the output is opened, then made again
+        for _, rows in nilseq.nilsequence_blocks(F, g, nilseq.ORIGIN, args.n):
+            _check_finite(rows)
         with _csv_out(args) as out:
             csv.writer(out).writerow(["n", "x", "y", "z", "re_F", "im_F"])
-            out.writelines(_numeric_csv(table))
+            for lo, rows in nilseq.nilsequence_blocks(F, g, nilseq.ORIGIN, args.n):
+                out.writelines(_numeric_csv(rows, lo + 1))
         return 0
+    table = nilseq.nilsequence_table(F, g, nilseq.ORIGIN, args.n)
     results = {
         "g": [g.alpha, g.beta, g.gamma],
         "character": args.character,
@@ -307,19 +310,19 @@ def cmd_nilseq(args) -> int:
     return 0
 
 
-def _numeric_csv(table: np.ndarray):
-    """Rows (n, *table[n-1]) as the text csv.writer makes of them, 4096
-    rows at a time. Float reprs never need quoting and never hold ", ", so
-    one repr of a block's flattened values splits into its fields, and a
-    row is n and its fields joined by commas, ended by CR LF. The working
-    set is one block's floats, fields and text, whatever the table's
-    length."""
-    width = table.shape[1]
+def _numeric_csv(rows: np.ndarray, first: int):
+    """Rows (n, *rows[n - first]) for n = first, first + 1, ... as the text
+    csv.writer makes of them, 4096 rows at a time. Float reprs never need
+    quoting and never hold ", ", so one repr of a chunk's flattened values
+    splits into its fields, and a row is n and its fields joined by commas,
+    ended by CR LF. The working set is one chunk's floats, fields and text,
+    whatever the length of rows."""
+    width = rows.shape[1]
     chunk = 1 << 12
-    for start in range(0, len(table), chunk):
-        fields = repr(table[start : start + chunk].ravel().tolist())[1:-1].split(", ")
+    for start in range(0, len(rows), chunk):
+        fields = repr(rows[start : start + chunk].ravel().tolist())[1:-1].split(", ")
         yield "".join([f"{n},{','.join(fields[i : i + width])}\r\n"
-                       for n, i in enumerate(range(0, len(fields), width), start + 1)])
+                       for n, i in enumerate(range(0, len(fields), width), first + start)])
 
 
 def cmd_mobius_corr(args) -> int:

@@ -292,20 +292,53 @@ def type1_max(f, D: int) -> float:
     return math.sqrt(total)
 
 
-def _type2_matvec(fext: np.ndarray, ds: np.ndarray, ws: np.ndarray,
+def _type2_matvec(f: np.ndarray, ds: np.ndarray, ws: np.ndarray,
                   v: np.ndarray, conj: bool = False) -> np.ndarray:
-    """(Av)_d = sum_w fext[w*d] v_w, or sum_w conj(fext[w*d]) v_w with conj;
-    an index past the end of fext reads its last slot, which is zero. Each
-    block gathers max(1, 2^16 // ws.size) rows, so its index, its gathered
-    rows and their complex cast in the product stay near 2^16 elements."""
+    """(Av)_d = sum_w f(w*d) v_w, or sum_w conj(f(w*d)) v_w with conj, where
+    f(n) = f[n - 1] on [1, N] and 0 past N. Each block gathers
+    max(1, 2^16 // ws.size) rows from f itself into one int64 index and
+    one complex128 row buffer, both made once: a megabyte temporary freed
+    every block is handed back to the OS and faulted in again by the next
+    (5,700 minor faults per type2_max call at D = W = 1000). The rows are
+    cast to complex128 as rows @ v would cast them, so the values are that
+    product's bit for bit."""
     out = np.empty(ds.size, dtype=np.complex128)
     block = max(1, _EXP_BLOCK // ws.size)
+    idx = np.empty((min(block, ds.size), ws.size), dtype=np.int64)
+    rows = np.empty(idx.shape, dtype=np.complex128)
     for lo in range(0, ds.size, block):
         hi = min(lo + block, ds.size)
-        idx = np.outer(ds[lo:hi], ws)
-        rows = fext[np.minimum(idx, fext.size - 1, out=idx)]
-        out[lo:hi] = (rows.conj() if conj else rows) @ v
+        i, r = idx[: hi - lo], rows[: hi - lo]
+        np.multiply.outer(ds[lo:hi], ws, out=i)
+        i -= 1  # f(w*d) sits at w*d - 1; past N the clip reads f(N), zeroed
+        gathered = f.take(i, mode="clip")
+        gathered[i >= f.size] = 0
+        np.copyto(r, gathered)
+        if conj and np.iscomplexobj(f):  # a real row is its own conjugate
+            np.conjugate(r, out=r)
+        np.matmul(r, v, out=out[lo:hi])
     return out
+
+
+def _start_vector(seed: int, size: int) -> np.ndarray:
+    """A unit complex vector drawn from seed: entry i (from 0) has as real
+    and imaginary parts outputs 2i + 1 and 2i + 2 of splitmix64 (Steele, Lea
+    and Flood, OOPSLA 2014) started at state seed mod 2^64, each mapped to
+    [-1, 1). Output k is a function of seed + k, so the vector is made in a
+    few numpy passes, the same on every platform, without numpy.random."""
+    z = np.arange(1, 2 * size + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed % 2**64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    parts = (z >> np.uint64(11)).astype(np.float64)  # 53 bits, exact
+    parts *= 2.0**-52
+    parts -= 1.0
+    v = parts[0::2] + 1j * parts[1::2]
+    return v / np.linalg.norm(v)
 
 
 def type2_max(f, D: int, W: int, rtol: float = 1e-6, max_iter: int = 10**4,
@@ -314,9 +347,11 @@ def type2_max(f, D: int, W: int, rtol: float = 1e-6, max_iter: int = 10**4,
 
     d in [D,2D), w in [W,2W); entries with w*d > N are zero (f lives on
     [1, N]). Power iteration on A^H A until the value settles to rtol;
-    raises PowerIterationError with the last iterate past max_iter. f
-    keeps its own dtype (real or complex), and each gathered block is
-    conjugated for A^H, so real input gives the value of its complex cast.
+    raises PowerIterationError with the last iterate past max_iter. seed
+    picks the start vector (_start_vector), so the value depends on it only
+    within rtol. f is read in place, in its own dtype (real or complex),
+    and each gathered block is conjugated for A^H, so real input gives the
+    value of its complex cast.
     """
     fv = np.asarray(f)
     N = fv.size
@@ -325,24 +360,18 @@ def type2_max(f, D: int, W: int, rtol: float = 1e-6, max_iter: int = 10**4,
         raise ValueError(f"need N^(1/3) <= D <= N^(2/3), got D={D}, N={N}")
     if not lo <= W <= N / D:
         raise ValueError(f"need N^(1/3) <= W <= N/D, got W={W}, D={D}, N={N}")
-    # fext[n] = f(n) for n <= m, and fext[m + 1] = 0 stands for every w*d > N
-    m = min(N, 4 * D * W)
-    fext = np.zeros(m + 2, dtype=fv.dtype)
-    fext[1 : m + 1] = fv[:m]
     ds = np.arange(D, 2 * D, dtype=np.int64)
     ws = np.arange(W, 2 * W, dtype=np.int64)
 
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(ws.size) + 1j * rng.standard_normal(ws.size)
-    v /= np.linalg.norm(v)
+    v = _start_vector(seed, ws.size)
     sigma = 0.0
     for _ in range(max_iter):
-        u = _type2_matvec(fext, ds, ws, v)
+        u = _type2_matvec(fv, ds, ws, v)
         nu = np.linalg.norm(u)
         if nu == 0.0:
             return 0.0
         # back-multiply by A^H: (A^H u)_w = sum_d conj(f(w*d)) u_d
-        vt = _type2_matvec(fext, ws, ds, u / nu, conj=True)
+        vt = _type2_matvec(fv, ws, ds, u / nu, conj=True)
         nv = np.linalg.norm(vt)
         if nv == 0.0:
             return 0.0

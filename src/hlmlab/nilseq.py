@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 import math
+import sys
 
 import numpy as np
 
@@ -258,28 +259,52 @@ class TestFunction:
         return float(np.sqrt(grad).max())
 
 
+def _check_character(F: TestFunction) -> None:
+    """Refuse a character whose phase 2*pi*(m . coordinates) can overflow a
+    double on the fundamental domain (x, y < 1, |z| <= 1/2), before F is
+    evaluated anywhere; the bound has a factor 2 of room for rounding."""
+    weights = (1, Fraction(1, 2)) if F.kind == "torus_character" else (1,)
+    if sum(abs(m) * w for m, w in zip(F.m, weights)) > sys.float_info.max / (4 * math.pi):
+        raise ValueError(f"the {F.kind} phase 2*pi*(m . (x, y, z)) overflows a double")
+
+
 def eval_nilsequence(F: TestFunction, g: HeisenbergElement,
                      x0: HeisenbergPoint = ORIGIN, n_max: int = 1000) -> np.ndarray:
     """(F(T_g^n x0))_{n=1..n_max} as a complex array, |values| <= 1,
     evaluated block by block on orbit_array's points."""
     _check_orbit(g, x0, n_max)
+    _check_character(F)
     out = np.empty(n_max, dtype=np.complex128)
     for lo, pts in _orbit_blocks(g, x0, n_max):
         out[lo : lo + _BLOCK] = F.evaluate(*pts)
     return out
 
 
+def nilsequence_blocks(F: TestFunction, g: HeisenbergElement, x0: HeisenbergPoint,
+                       n_max: int):
+    """An iterator of (lo, rows): rows (x, y, z, Re F, Im F) at T_g^n x0 for
+    n = lo+1 .. lo+_BLOCK in turn up to n_max, as a (rows, 5) array, each
+    point orbit_array's and each value F's at it, bit for bit. The orbit
+    and the character are checked when it is called, before any block is
+    made; the memory is one block's rows and temporaries."""
+    _check_orbit(g, x0, n_max)
+    _check_character(F)
+
+    def blocks():
+        for lo, pts in _orbit_blocks(g, x0, n_max):
+            vals = F.evaluate(*pts)
+            yield lo, np.stack([*pts, vals.real, vals.imag], axis=1)
+    return blocks()
+
+
 def nilsequence_table(F: TestFunction, g: HeisenbergElement, x0: HeisenbergPoint,
                       n_max: int) -> np.ndarray:
-    """Rows (x, y, z, Re F, Im F) at T_g^n x0 for n = 1..n_max, as an
-    (n_max, 5) array: orbit_array's points and F at them, bit for bit.
-    Filled in blocks of _BLOCK points, like orbit_array, and refused on the
-    same inputs before any allocation."""
-    _check_orbit(g, x0, n_max)
+    """The rows of nilsequence_blocks as one (n_max, 5) array, refused on
+    the same inputs before it is allocated."""
+    blocks = nilsequence_blocks(F, g, x0, n_max)
     out = np.empty((n_max, 5))
-    for lo, pts in _orbit_blocks(g, x0, n_max):
-        vals = F.evaluate(*pts)
-        out[lo : lo + _BLOCK] = np.stack([*pts, vals.real, vals.imag], axis=1)
+    for lo, rows in blocks:
+        out[lo : lo + _BLOCK] = rows
     return out
 
 

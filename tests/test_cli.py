@@ -163,12 +163,14 @@ def test_gowers_and_nilseq_subcommands(capsys, tmp_path):
 
 
 def test_nilseq_csv_stays_near_its_table(tmp_path, traced_peak):
-    # the (n, 5) table is 40 bytes a row; the orbit, F and the CSV text are
-    # made block by block (whole-length temporaries took 105 bytes a row)
+    # the orbit, F, the rows and the CSV text are made block by block and
+    # no (n, 5) table is made, so the peak does not grow with n: at this n
+    # it traced 11.25 MiB with the whole table (bound 40n + 4 MiB) and
+    # 4.88 MiB streamed (whole-length temporaries took 105 bytes a row)
     n = 2 * 10**5
     argv = ["nilseq", "--alpha-g", repr(math.sqrt(2)), "--beta-g", "0.1", "--gamma-g",
             repr(math.sqrt(3)), "--n", str(n), "--format", "csv", "--out", str(tmp_path / "o.csv")]
-    assert traced_peak(lambda: cli.main(argv)) <= 40 * n + (4 << 20)
+    assert traced_peak(lambda: cli.main(argv)) <= 6 << 20
 
 
 # spawns one command from this small interpreter and prints its exit code
@@ -234,15 +236,20 @@ def test_phase_spectral_children_stay_near_the_help_child(tmp_path):
     # and numpy.random imported for a Lipschitz estimate nothing read, and
     # +12.2, +10.2 and +13.9 MB with Lambda streamed in blocks of 2^16,
     # 2^16-point classes folded two at a time, and the estimate made when
-    # first read
+    # first read. sieve, typesums and nilseq read +12.0, +12.5 and +13.5 MB
+    # with mu's int32 products whole-length, numpy.random drawing the Type
+    # II start vector, and the nilseq table whole, and +5.6, +4.7 and +8.0
+    # MB with mu segmented, a counter-based start vector and the CSV
+    # streamed block by block
     n = "2000000"
     peak_mb = child_peaks_mb({
         "help": ["--help"],
         "sieve": ["sieve", "--n", n, "--dump", str(tmp_path / "t.bin")],
         "expsum": ["expsum", "--n", n, "--theta", "0.5", "--weights", "mobius"],
+        "typesums": ["typesums", "--n", n, "--d", "1000", "--w", "1000"],
         "nilseq": ["nilseq", "--alpha-g", repr(math.sqrt(2)), "--gamma-g", repr(math.sqrt(3)),
                    "--n", "200000", "--format", "csv", "--out", str(tmp_path / "o.csv")]})
-    for name, bound in (("sieve", 16), ("expsum", 17), ("nilseq", 16)):
+    for name, bound in (("sieve", 9), ("expsum", 17), ("typesums", 9), ("nilseq", 11)):
         assert peak_mb[name] - peak_mb["help"] <= bound, peak_mb
 
 
@@ -274,8 +281,9 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
 
 def test_exact_paths_do_not_import_numpy_random(tmp_path):
     # numpy.random loads _hashlib and libcrypto through secrets, about 6 MB
-    # of RSS per child, so only a path that draws imports it. typesums draws
-    # its Type II start vector and keeps it; these draw nothing
+    # of RSS per child, so only a path that draws with it imports it; these
+    # draw nothing, and typesums draws its Type II start vector from a
+    # counter-based generator of --seed
     argvs = [
         ["nilseq", "--alpha-g", "1.41", "--n", "1000", "--format", "csv",
          "--out", str(tmp_path / "o.csv")],
@@ -283,6 +291,7 @@ def test_exact_paths_do_not_import_numpy_random(tmp_path):
         ["expsum", "--n", "10000", "--weights", "mobius"],
         ["sieve", "--n", "10000"],
         ["count", "--system", "1,-2,1,0;0,1,-2,1", "--n", "200"],
+        ["typesums", "--n", "10000", "--d", "25", "--w", "25"],
     ]
     script = ("import contextlib, io, json, sys\n"
               "from hlmlab import cli\n"
@@ -443,6 +452,11 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["expsum", "--n", "100", "--theta", "1e308"],
         ["typesums", "--n", "100", "--d", "5", "--phase", "1e308"],
         ["typesums", "--phase", "0.1", "--n", str(10**30), "--d", "10"],
+        ["nilseq", "--alpha-g", "1.3", "--gamma-g", "0.3", "--n", "10",
+         "--character", f"torus:1,{10**308}"],
+        ["nilseq", "--alpha-g", "1.3", "--gamma-g", "0.3", "--n", "10",
+         "--character", f"torus:1,{10**308}", "--format", "csv"],
+        ["nilseq", "--alpha-g", "1.3", "--n", "10", "--character", f"vertical:{10**400}"],
     ],
     ids=["nilseq-n-zero", "nilseq-n-negative", "nilseq-nan", "nilseq-nan-csv",
          "nilseq-orbit-overflow", "nilseq-orbit-overflow-csv", "nilseq-product-overflow",
@@ -454,7 +468,9 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
          "gowers-one-row", "singular-p-max-negative", "gowers-bruteforce-k-negative",
          "gowers-bruteforce-k-zero", "gowers-bruteforce-k-five", "arcs-exponent-inf",
          "arcs-exponent-1e20", "arcs-exponent-1e300", "expsum-theta-product-overflow",
-         "typesums-phase-product-overflow", "typesums-phase-n-over-cap"],
+         "typesums-phase-product-overflow", "typesums-phase-n-over-cap",
+         "nilseq-character-overflow", "nilseq-character-overflow-csv",
+         "nilseq-character-past-float"],
 )
 def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
     out_file = tmp_path / "report.out"

@@ -397,6 +397,52 @@ def test_type2_transpose_symmetry():
     assert a == pytest.approx(b, rel=1e-6)
 
 
+def test_type2_matvec_equals_the_dense_product():
+    # W = 300 gathers 218 rows a block, so D = 300 takes two blocks, and
+    # w*d runs past N = 10^5 in the second
+    loc = np.random.default_rng(8)
+    N = 10**5
+    for f in (loc.random(N) < 0.3, loc.choice(np.array([-1, 0, 1], dtype=np.int8), N),
+              loc.standard_normal(N), np.exp(2j * np.pi * loc.random(N))):
+        fe = np.zeros(4 * 300 * 300, dtype=complex)
+        fe[1 : N + 1] = f
+        ds, ws = np.arange(300, 600), np.arange(300, 600)
+        matrix = fe[np.outer(ds, ws)]
+        v = loc.standard_normal(300) + 1j * loc.standard_normal(300)
+        np.testing.assert_allclose(fourier._type2_matvec(f, ds, ws, v), matrix @ v, rtol=1e-12)
+        np.testing.assert_allclose(fourier._type2_matvec(f, ws, ds, v, conj=True),
+                                   matrix.T.conj() @ v, rtol=1e-12)
+
+
+def splitmix64(state: int, count: int) -> list[int]:
+    """The first count outputs of splitmix64 from state, in Python ints."""
+    out, mask = [], (1 << 64) - 1
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_type2_start_vector_is_splitmix64_of_the_seed():
+    for seed in (0, 7, -1, 2**64 + 5, 12345678901234567890):
+        z = splitmix64(seed % 2**64, 10)
+        parts = [(v >> 11) * 2.0**-52 - 1.0 for v in z]
+        want = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+        np.testing.assert_array_equal(fourier._start_vector(seed, 5),
+                                      want / np.linalg.norm(want))
+    assert not np.array_equal(fourier._start_vector(0, 5), fourier._start_vector(1, 5))
+
+
+def test_type2_does_not_depend_on_the_seed_beyond_rtol():
+    N = 10**5
+    f = np.random.default_rng(4).choice(np.array([-1, 0, 1], dtype=np.int8), N)
+    values = [fourier.type2_max(f, 60, 100, seed=seed) for seed in range(5)]
+    assert max(values) - min(values) <= 1e-6 * min(values)
+
+
 def test_type2_range_validation():
     f = np.ones(4096, dtype=complex)
     with pytest.raises(ValueError):

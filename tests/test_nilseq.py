@@ -298,6 +298,49 @@ def test_orbit_blocks_match_one_block(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
+def test_nilsequence_blocks_are_the_table_rows(monkeypatch):
+    g = HeisenbergElement(math.sqrt(2), 0.1, math.sqrt(3))
+    x0 = HeisenbergPoint(0.25, 0.5, -0.125)
+    F = nilseq.TestFunction.torus_character(2, -3)
+    table = nilseq.nilsequence_table(F, g, x0, 1000)
+    monkeypatch.setattr(nilseq, "_BLOCK", 7)  # 142 whole blocks and a part
+    blocks = list(nilseq.nilsequence_blocks(F, g, x0, 1000))
+    assert [lo for lo, _ in blocks] == list(range(0, 1000, 7))
+    assert all(rows.shape == (min(7, 1000 - lo), 5) for lo, rows in blocks)
+    np.testing.assert_array_equal(np.concatenate([rows for _, rows in blocks]), table)
+
+
+HUGE_CHARACTERS = {
+    "torus-m2": nilseq.TestFunction.torus_character(1, 10**308),
+    "torus-m1": nilseq.TestFunction.torus_character(-(10**308), 0),
+    "torus-sum": nilseq.TestFunction.torus_character(10**307, 2 * 10**307),
+    "vertical": nilseq.TestFunction.vertical_character(10**308),
+    "past-float": nilseq.TestFunction.vertical_character(10**400),
+}
+
+
+@pytest.mark.parametrize("F", HUGE_CHARACTERS.values(), ids=HUGE_CHARACTERS.keys())
+def test_a_character_whose_phase_overflows_is_refused_before_evaluation(F, monkeypatch):
+    def never(*pts):
+        raise AssertionError("F evaluated")
+
+    monkeypatch.setattr(F, "evaluate", never)
+    g = HeisenbergElement(math.sqrt(2), 0.1, math.sqrt(3))
+    for fill in (nilseq.eval_nilsequence, nilseq.nilsequence_blocks, nilseq.nilsequence_table):
+        with pytest.raises(ValueError, match="overflows a double"):
+            fill(F, g, ORIGIN, 100)
+
+
+def test_a_huge_character_inside_the_bound_stays_finite():
+    g = HeisenbergElement(math.sqrt(2), 0.1, math.sqrt(3))
+    for F in (nilseq.TestFunction.torus_character(10**300, -(10**300)),
+              nilseq.TestFunction.vertical_character(10**300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = nilseq.nilsequence_table(F, g, ORIGIN, 1000)
+        assert np.isfinite(table).all()
+
+
 OVERFLOWING = {
     "x-overflow": HeisenbergElement(1e308, 0.0, 0.0),
     "product-overflow": HeisenbergElement(1e200, 0.0, 1e200),
