@@ -25,6 +25,7 @@ import time
 import numpy as np
 
 from . import arith, counting, fourier, gowers, linsys, nilseq, obstruction
+from ._rng import Stream
 
 
 @dataclass
@@ -124,11 +125,11 @@ def a6_davenport_decay(tab) -> tuple[bool, dict]:
 
 
 def a7_gowers_cross_method(tab) -> tuple[bool, dict]:
-    rng = np.random.default_rng(2024)
+    rng = Stream(2024)
     worst = 0.0
     for trial in range(200):
         k = (2, 3, 4)[trial % 3]
-        M = int(rng.integers(4, 17 if k == 4 else 33))
+        M = rng.integers(4, 17 if k == 4 else 33)
         f = rng.uniform(-1.0, 1.0, M)
         a = gowers.uk_norm(f, k, "fft")
         b = gowers.uk_norm(f, k, "recursive")
@@ -146,7 +147,7 @@ def a7_gowers_cross_method(tab) -> tuple[bool, dict]:
 
 
 def a8_inequalities(tab) -> tuple[bool, dict]:
-    rng = np.random.default_rng(4096)
+    rng = Stream(4096)
     M = 101
     gvn_margin = math.inf
     for trial in range(1000):
@@ -167,7 +168,7 @@ def a8_inequalities(tab) -> tuple[bool, dict]:
 
 
 def a9_heisenberg_orbit(tab) -> tuple[bool, dict]:
-    rng = np.random.default_rng(99)
+    rng = Stream(99)
     checkpoints = {1, 10, 100, 1000, 10**4}
     draws = rng.uniform(-2.0, 2.0, (100, 3))
     # all 100 orbits step at once: shift works elementwise on array coordinates

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import __version__, acceptance, arith, counting, fourier, gowers, linsys, nilseq, obstruction
 from ._phase import frac01
+from ._rng import Stream
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,8 +268,7 @@ def cmd_gowers(args) -> int:
     elif args.weights:
         f = _weights(arith.table(args.m), args.weights, args.m)
     else:
-        rng = np.random.default_rng(args.seed)
-        f = rng.uniform(-1.0, 1.0, args.m)
+        f = Stream(args.seed).uniform(-1.0, 1.0, args.m)
     if args.method == "bruteforce":
         value = gowers.uk_norm_bruteforce(f, args.k)
     else:

@@ -63,6 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fourier
+from ._rng import Stream
 from .arith import ArithTable, CapacityError, vonmangoldt_classes
 from .linsys import (LinearSystem, _bareiss, _digits, ap_system, closed_form_S3, closed_form_S4,
                      primitive_system, singular_series)
@@ -669,7 +670,7 @@ def _enumerate_counts(table: ArithTable, system: LinearSystem, N: int, mode: str
     solve = np.array(solve, dtype=np.int64)
 
     isp = table.is_prime
-    rng = None if mode == "exact" else np.random.default_rng(seed)  # exact draws nothing
+    rng = None if mode == "exact" else Stream(seed)  # exact draws nothing
 
     observed = 0
     distinct = 0
@@ -679,7 +680,7 @@ def _enumerate_counts(table: ArithTable, system: LinearSystem, N: int, mode: str
         if mode == "exact":
             xf = _digits(start, stop, N, free_rank) + 1
         else:
-            xf = rng.integers(1, N + 1, size=(free_rank, stop - start), dtype=np.int64)
+            xf = rng.integers(1, N + 1, size=(free_rank, stop - start))
         xb_scaled = solve @ xf
         integral = (xb_scaled % det == 0).all(axis=0)
         xb = np.where(integral, xb_scaled // det, 0)

@@ -45,6 +45,7 @@ import math
 import numpy as np
 
 from ._phase import frac01
+from ._rng import Stream
 
 
 @dataclass(frozen=True)
@@ -322,21 +323,10 @@ def _type2_matvec(f: np.ndarray, ds: np.ndarray, ws: np.ndarray,
 
 def _start_vector(seed: int, size: int) -> np.ndarray:
     """A unit complex vector drawn from seed: entry i (from 0) has as real
-    and imaginary parts outputs 2i + 1 and 2i + 2 of splitmix64 (Steele, Lea
-    and Flood, OOPSLA 2014) started at state seed mod 2^64, each mapped to
-    [-1, 1). Output k is a function of seed + k, so the vector is made in a
-    few numpy passes, the same on every platform, without numpy.random."""
-    z = np.arange(1, 2 * size + 1, dtype=np.uint64)
-    z *= np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(seed % 2**64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    parts = (z >> np.uint64(11)).astype(np.float64)  # 53 bits, exact
-    parts *= 2.0**-52
-    parts -= 1.0
+    and imaginary parts draws 2i and 2i + 1 of uniform(-1, 1) on the
+    package's one stream (_rng.Stream, numpy's default_rng sequence) seeded
+    with seed mod 2^64, so every integer seed, negative too, picks one."""
+    parts = Stream(seed % 2**64).uniform(-1.0, 1.0, 2 * size)
     v = parts[0::2] + 1j * parts[1::2]
     return v / np.linalg.norm(v)
 

@@ -45,6 +45,7 @@ import sys
 import numpy as np
 
 from ._phase import _SPLIT, EXACT_LIMIT, frac01, frac_dd, frac_half, nearest_int, two_prod
+from ._rng import Stream
 
 
 @dataclass(frozen=True)
@@ -204,8 +205,8 @@ class TestFunction:
     lipschitz_estimate is a sampled finite-difference estimate on a
     seeded random grid, not a certified bound. It is computed when first
     read and then kept: the correlations and the orbit tables never read
-    it, and drawing its grid is the only use of numpy.random here (whose
-    import costs about 6 MB of RSS).
+    it. Its grid is drawn from _rng.Stream(1), numpy's default_rng(1)
+    sequence without the import of numpy.random.
     """
 
     kind: str
@@ -247,7 +248,7 @@ class TestFunction:
     @cached_property
     def lipschitz_estimate(self) -> float:
         samples, eps = 4000, 1e-4
-        rng = np.random.default_rng(1)
+        rng = Stream(1)
         x = rng.uniform(0, 1, samples)
         y = rng.uniform(0, 1, samples)
         z = rng.uniform(-0.5 + eps, 0.5 - eps, samples)

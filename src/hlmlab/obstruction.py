@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from ._phase import frac_dd, frac_half
+from ._rng import Stream
 from .arith import balanced_function
 from .counting import ap_cells, ap_sum
 from .fourier import sup_exp_sum
@@ -97,8 +98,7 @@ def build(kind: str, N: int, alpha: float) -> ObstructionSet:
 
 def random_control_set(N: int, alpha: float, seed: int = 0) -> ObstructionSet:
     """Bernoulli(alpha) control with the same interface."""
-    rng = np.random.default_rng(seed)
-    member = rng.uniform(size=N) < alpha
+    member = Stream(seed).uniform(size=N) < alpha
     return ObstructionSet(kind="bernoulli", N=N, alpha=alpha,
                           membership=member, density=float(member.mean()))
 

@@ -183,8 +183,11 @@ _PEAK_SHIM = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], o
 
 def run_child(argv, **env) -> str:
     """The stdout of `python *argv`, run to exit 0 without a table cache and
-    with env added to this process's environment."""
-    env = {**{k: v for k, v in os.environ.items() if k != "HLM_DATA_DIR"}, **env}
+    with env added to this process's environment. Bytecode caching stays on,
+    so a child compiles a stale module once and later children, the --help
+    baseline among them, load it as a user's would."""
+    env = {**{k: v for k, v in os.environ.items()
+              if k not in ("HLM_DATA_DIR", "PYTHONDONTWRITEBYTECODE")}, **env}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
                           check=True).stdout
@@ -239,8 +242,8 @@ def test_phase_spectral_children_stay_near_the_help_child(tmp_path):
     # first read. sieve, typesums and nilseq read +12.0, +12.5 and +13.5 MB
     # with mu's int32 products whole-length, numpy.random drawing the Type
     # II start vector, and the nilseq table whole, and +5.6, +4.7 and +8.0
-    # MB with mu segmented, a counter-based start vector and the CSV
-    # streamed block by block
+    # MB with mu segmented, a start vector drawn without numpy.random and
+    # the CSV streamed block by block
     n = "2000000"
     peak_mb = child_peaks_mb({
         "help": ["--help"],
@@ -279,30 +282,51 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
         assert outs[0] == outs[1], argv
 
 
-def test_exact_paths_do_not_import_numpy_random(tmp_path):
+def test_no_command_imports_numpy_random(tmp_path):
     # numpy.random loads _hashlib and libcrypto through secrets, about 6 MB
-    # of RSS per child, so only a path that draws with it imports it; these
-    # draw nothing, and typesums draws its Type II start vector from a
-    # counter-based generator of --seed
+    # of RSS per child; every draw in the package, acceptance's A7-A9, the
+    # gowers --m input, Monte Carlo counts, the Lipschitz estimate in the
+    # nilseq JSON, the Type II start vector and the Bernoulli control set,
+    # comes from hlmlab._rng, which draws numpy's stream without it
     argvs = [
         ["nilseq", "--alpha-g", "1.41", "--n", "1000", "--format", "csv",
          "--out", str(tmp_path / "o.csv")],
+        ["nilseq", "--alpha-g", "1.41", "--n", "1000"],
         ["mobius-corr", "--n", "10000"],
         ["expsum", "--n", "10000", "--weights", "mobius"],
         ["sieve", "--n", "10000"],
         ["count", "--system", "1,-2,1,0;0,1,-2,1", "--n", "200"],
+        ["count", "--system", "1,1,-2", "--n", "300", "--mode", "montecarlo",
+         "--samples", "1000"],
         ["typesums", "--n", "10000", "--d", "25", "--w", "25"],
+        ["gowers", "--m", "64", "--k", "3"],
+        ["acceptance", "--only", "A7"],
+        ["acceptance", "--only", "A8"],
+        ["acceptance", "--only", "A9"],
     ]
     script = ("import contextlib, io, json, sys\n"
-              "from hlmlab import cli\n"
+              "from hlmlab import cli, obstruction\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
               "        assert cli.main(argv) == 0, argv\n"
               "    if argv[0] == 'count':\n"
-              "        assert json.loads(out.getvalue())['results']['method'] == 'enumerate'\n"
-              "    print(argv[0], 'numpy.random' in sys.modules)\n")
+              "        method = 'montecarlo' if 'montecarlo' in argv else 'enumerate'\n"
+              "        assert json.loads(out.getvalue())['results']['method'] == method\n"
+              "    if argv[0] == 'nilseq' and 'csv' not in argv:\n"
+              "        assert json.loads(out.getvalue())['results']['lipschitz_estimate'] > 0\n"
+              "    print(argv[0], 'numpy.random' in sys.modules)\n"
+              "obstruction.random_control_set(10000, 0.1, seed=3)\n"
+              "print('random_control_set', 'numpy.random' in sys.modules)\n")
     lines = run_child(["-c", script, json.dumps(argvs)]).split("\n")
-    assert lines[:-1] == [f"{argv[0]} False" for argv in argvs]
+    names = [argv[0] for argv in argvs] + ["random_control_set"]
+    assert lines[:-1] == [f"{name} False" for name in names]
+
+
+def test_gowers_acceptance_child_stays_near_the_help_child():
+    # as above; A7 and A8 read +9.0 MB over --help while they drew from
+    # numpy.random, and +3.2 MB drawing the same stream from hlmlab._rng
+    peak_mb = child_peaks_mb({"help": ["--help"], "gowers": ["acceptance", "--only", "gowers"]})
+    assert peak_mb["gowers"] - peak_mb["help"] <= 6, peak_mb
 
 
 def test_count_sweep_csv_mode(capsys):

@@ -17,6 +17,7 @@ DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_exits_0(name):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], capture_output=True,
-                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+                          text=True, timeout=300, env={**env, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr

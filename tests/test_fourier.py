@@ -414,25 +414,15 @@ def test_type2_matvec_equals_the_dense_product():
                                    matrix.T.conj() @ v, rtol=1e-12)
 
 
-def splitmix64(state: int, count: int) -> list[int]:
-    """The first count outputs of splitmix64 from state, in Python ints."""
-    out, mask = [], (1 << 64) - 1
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
-    return out
-
-
-def test_type2_start_vector_is_splitmix64_of_the_seed():
+def test_type2_start_vector_is_the_stream_of_the_seed():
+    # numpy's default_rng is the oracle for the package's stream
     for seed in (0, 7, -1, 2**64 + 5, 12345678901234567890):
-        z = splitmix64(seed % 2**64, 10)
-        parts = [(v >> 11) * 2.0**-52 - 1.0 for v in z]
-        want = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+        parts = np.random.default_rng(seed % 2**64).uniform(-1.0, 1.0, 10)
+        want = parts[0::2] + 1j * parts[1::2]
         np.testing.assert_array_equal(fourier._start_vector(seed, 5),
                                       want / np.linalg.norm(want))
+    np.testing.assert_array_equal(fourier._start_vector(-1, 5),
+                                  fourier._start_vector(2**64 - 1, 5))
     assert not np.array_equal(fourier._start_vector(0, 5), fourier._start_vector(1, 5))
 
 

@@ -196,8 +196,9 @@ def test_singular_series_leaves_numpy_ma_unimported():
             "linsys.singular_series(linsys.ap_system(3), 1000); "
             "assert 'numpy.ma' not in sys.modules")
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**env, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
 
 
