@@ -4,9 +4,10 @@ Each item measures the quantities it gates and reports them alongside
 the verdict, so a failure names the value that broke the gate. Every
 item takes the one N = 10^6 arithmetic table that run_all gets from
 arith.table and reads only the columns it needs; A5 streams Lambda in
-blocks (arith.vonmangoldt_blocks), so the run never makes Lambda's
-8 B/n column. run_all returns the results and prints one PASS/FAIL line
-per item; the CLI maps any failure to exit code 3.
+blocks derived from is_prime (arith.vonmangoldt_blocks), so the run
+never makes Lambda's 8 B/n column. run_all returns the results and
+prints one PASS/FAIL line per item; the CLI maps any failure to exit
+code 3.
 
 Item A4's two large-N ratio clauses are known to fail: the exact AP
 counts at N = 10^5 sit 1.32x / 1.44x above the crude main terms

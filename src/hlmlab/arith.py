@@ -2,7 +2,8 @@
 
 Provides:
 - ArithTable: is_prime / mu / Lambda on [1, N]: is_prime by a whole-array
-  Eratosthenes sieve, mu by a sieve segmented in blocks of 2^18 values of n
+  Eratosthenes sieve, mu by a sieve segmented in blocks of 2^18 values of
+  n, and Lambda always derived from is_prime
 - prime_sieve: the primality sieve alone, shared with the singular series
 - vonmangoldt_progression: the one Lambda builder, Lambda on a progression
   n = b (mod W) read off is_prime. The table's column is its W = 1 case,
@@ -11,16 +12,15 @@ Provides:
 - vonmangoldt_classes: Lambda on [1, N] as the W-trick with W = 6 reads
   it, the classes 1 and 5 mod 6 and the powers of 2 and 3; the
   Lambda-weighted AP averages read it in place of the column
+- vonmangoldt_blocks: Lambda on [1, N] in blocks of 2^16, each built from
+  is_prime, so the 8 B/n column is never made
+- mean_vonmangoldt: E_{n<=N} Lambda(n) from the primes alone
 - balanced function of a set, 1_A - |A|/N
-- vonmangoldt_blocks: Lambda on [1, N] in blocks of 2^16, the table's
-  column sliced when it was read and otherwise built block by block
-- binary dump/load of tables (magic "HLM1", little-endian), or a load of
-  the N-prefix of a table with a larger limit; a dump streams Lambda in
-  those blocks, so dumping a table whose Lambda was never read never
-  makes the 8 B/n column
+- binary dump/load of tables (magic "HLM2", little-endian, 2 B/n: is_prime
+  and mu only), or a load of the N-prefix of a table with a larger limit
 - table: the one table path of the CLI and the acceptance suite; with
   HLM_DATA_DIR set, a run reads the smallest cached table whose limit is
-  at least N, as a prefix, and otherwise builds and caches table_<N>.bin
+  at least N, as a prefix, and otherwise builds and caches table_<N>.hlm2
 
 Conventions:
     mu(1) = 1, mu(n) = 0 iff a square divides n
@@ -32,16 +32,18 @@ Fourier and correlation routines take "sequences on [1, N]", the slice
 column[1 : N + 1] in the column's own dtype.
 
 A table makes each column the first time it is read and keeps it: a
-build sieves is_prime, derives Lambda from it and mu from the primes up to
-sqrt(N), one segment at a time, so mu holds 1 B/n and one segment's int32
-products; a load reads the column from the file it holds open. A caller
-that never reads a column never allocates it. Columns are never mutated
-once made.
+build sieves is_prime and mu from the primes up to sqrt(N), one segment
+at a time, so mu holds 1 B/n and one segment's int32 products; a load
+reads is_prime and mu from the file it holds open. Lambda is derived
+from is_prime in either case, so no table holds a Lambda that disagrees
+with its primes. A caller that never reads a column never allocates it.
+Columns are never mutated once made.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt
+import itertools
+from math import fsum, gcd, isqrt
 import os
 import re
 import struct
@@ -49,12 +51,12 @@ import weakref
 
 import numpy as np
 
-MAGIC = b"HLM1"
+MAGIC = b"HLM2"
 
 # Memory cap: N <= 10^8 keeps the three arrays near 1 GB.
 DEFAULT_LIMIT_CAP = 10**8
 
-_BLOCK = 1 << 16  # values of n per block: _mobius's comparison pass, vonmangoldt_blocks
+_BLOCK = 1 << 16  # values of n per block: _mobius's comparison pass, the Lambda blocks
 # values of n per _mobius segment, the length of its int32 product array.
 # In-process medians of 9 (2-core host) at N = 2*10^6 / 10^7: whole-array
 # 39.1 / 216.6 ms, segments of 2^16 40.4 / 332.9 ms, of 2^18 37.8 / 202.2 ms
@@ -74,16 +76,15 @@ class ArithTable:
         limit: largest n covered
         is_prime: bool array, length N+1, indexed by n
         mobius: int8 array, mu(n) in {-1, 0, 1}
-        vonmangoldt: float64 array, Lambda(n)
+        vonmangoldt: float64 array, Lambda(n), always derived from is_prime
 
-    A column given to the constructor is used as it is; any other is
-    sieved from limit when first read.
+    An is_prime or mobius given to the constructor is used as it is; any
+    other is sieved from limit when first read.
     """
 
-    def __init__(self, limit: int, is_prime=None, mobius=None, vonmangoldt=None):
+    def __init__(self, limit: int, is_prime=None, mobius=None):
         self.limit = limit
-        for name, col in (("is_prime", is_prime), ("mobius", mobius),
-                          ("vonmangoldt", vonmangoldt)):
+        for name, col in (("is_prime", is_prime), ("mobius", mobius)):
             if col is not None:
                 setattr(self, name, col)
 
@@ -214,20 +215,27 @@ def vonmangoldt_blocks(table: ArithTable):
     """Yield Lambda(n) for n = lo .. min(lo + 2^16 - 1, N) as an array, for
     lo = 1, 1 + 2^16, ... up to N = table.limit.
 
-    A table whose Lambda column was read yields slices of it; any other
-    yields vonmangoldt_progression on each block, read off is_prime, so
-    the 8 B/n column is never made. Both give the column's floats bit for
-    bit, in the blocks fourier.exp_sums sums, so its sums over these
-    blocks equal exp_sum's over the column.
+    Each block is vonmangoldt_progression on it, read off is_prime, so
+    the 8 B/n column is never made. The blocks hold the column's floats
+    bit for bit, in the blocks fourier.exp_sums sums, so its sums over
+    them equal exp_sum's over the column.
     """
     N = table.limit
-    column = table.__dict__.get("vonmangoldt")
     for lo in range(1, N + 1, _BLOCK):
-        hi = min(lo + _BLOCK - 1, N)
-        if column is not None:
-            yield column[lo : hi + 1]
-        else:
-            yield vonmangoldt_progression(table.is_prime, lo, 1, hi)
+        yield vonmangoldt_progression(table.is_prime, lo, 1, min(lo + _BLOCK - 1, N))
+
+
+def mean_vonmangoldt(table: ArithTable) -> float:
+    """E_{n<=N} Lambda(n) from the primes alone: the correctly rounded sum
+    of log p over every prime power p^k <= N (the float the column holds
+    there) over N. fsum's sum does not depend on the order of its terms,
+    so this is the mean of the column's nonzero values, with no Lambda
+    block made; the primes are read 2^16 values of n at a time."""
+    N, is_prime = table.limit, table.is_prime
+    _, higher = _prime_powers(np.flatnonzero(is_prime[: isqrt(N) + 1]), N, 2)
+    logs = (np.log((np.flatnonzero(is_prime[lo : lo + _BLOCK]) + lo).astype(np.float64))
+            .tolist() for lo in range(1, N + 1, _BLOCK))
+    return fsum(itertools.chain(higher.tolist(), itertools.chain.from_iterable(logs))) / N
 
 
 def vonmangoldt_classes(is_prime, N: int):
@@ -284,21 +292,15 @@ def balanced_function(indicator) -> np.ndarray:
 
 
 def dump_table(table: ArithTable, path) -> None:
-    """Binary dump: magic "HLM1", N as u64 LE, then the three arrays.
-
-    Layout after the 12-byte header: is_prime as u8[N], mobius as i8[N],
-    vonmangoldt as f64-LE[N], each covering n = 1..N. The 1-byte columns'
-    own buffers are written; Lambda is written in the blocks of
-    vonmangoldt_blocks, so a table whose Lambda was never read is dumped
-    without making that column. Only a big-endian host converts Lambda.
-    """
+    """Binary dump: magic "HLM2", N as u64 LE, then is_prime as u8[N] and
+    mobius as i8[N], each covering n = 1..N: 12 + 2N bytes, the columns'
+    own buffers written as they are. Lambda is not stored; a load derives
+    it from is_prime, as a build does."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", table.limit))
         fh.write(np.asarray(table.is_prime[1:], dtype=bool).view(np.uint8))
         fh.write(np.asarray(table.mobius[1:], dtype=np.int8))
-        for block in vonmangoldt_blocks(table):
-            fh.write(np.asarray(block, dtype="<f8"))
 
 
 def load_table(path, N=None) -> ArithTable:
@@ -315,8 +317,8 @@ def load_table(path, N=None) -> ArithTable:
             raise ValueError(f"header is {len(head)} bytes, expected 12")
         (limit,) = struct.unpack("<Q", head[4:])
         size = os.fstat(fh.fileno()).st_size - 12
-        if size != 10 * limit:
-            raise ValueError(f"payload is {size} bytes, expected {10 * limit}")
+        if size != 2 * limit:
+            raise ValueError(f"payload is {size} bytes, expected {2 * limit}")
         N = limit if N is None else N
         if not 1 <= N <= limit:
             raise ValueError(f"N={N} is outside the file's limits [1, {limit}]")
@@ -328,8 +330,10 @@ def load_table(path, N=None) -> ArithTable:
 
 def table(N: int) -> ArithTable:
     """build_table(N), or with $HLM_DATA_DIR set, the N-prefix of the
-    smallest table_<M>.bin there with M >= N; with none there (a missing
-    directory counts as empty), build_table(N) dumped to table_<N>.bin."""
+    smallest table_<M>.hlm2 there with M >= N; with none there (a missing
+    directory counts as empty), build_table(N) dumped to table_<N>.hlm2.
+    Files of any other name, a table_<M>.bin of the old format among
+    them, are never read."""
     cache_dir = os.environ.get("HLM_DATA_DIR")
     if not cache_dir:
         return build_table(N)
@@ -337,19 +341,22 @@ def table(N: int) -> ArithTable:
     # thresholds, so the kernels' per-block temporaries are then reused
     # from the heap, not faulted in again on every block (mobius-corr at
     # N = 2e6: 6k page faults against 129k). Nothing this path keeps is
-    # that large and freed, so it frees one untouched block of the
-    # file's size, which costs no memory; glibc ignores a block past
-    # 32 MiB, so the block stops at 31 MiB.
+    # that large and freed, so it frees one untouched block, which costs
+    # no memory; glibc ignores a block past 32 MiB, so it stops at 31 MiB.
+    # 12 + 10N bytes is a measured size, not a file's: warm-cache
+    # mobius-corr at N = 2e6 read 0.93 s with it and 2.45 s with no block
+    # (BENCH_17.json), and 0.85 s against 0.92 s with 12 + 2N (medians of
+    # 8 alternating runs, 2-core host).
     np.empty(min(12 + 10 * N, 31 << 20), dtype=np.uint8)
     names = os.listdir(cache_dir) if os.path.isdir(cache_dir) else []
-    # a concurrent writer's table_<N>.bin.<pid>.tmp never matches
-    matches = [re.fullmatch(r"table_(\d+)\.bin", name) for name in names]
+    # a concurrent writer's table_<N>.hlm2.<pid>.tmp never matches
+    matches = [re.fullmatch(r"table_(\d+)\.hlm2", name) for name in names]
     limits = [int(m[1]) for m in matches if m and int(m[1]) >= N]
     if limits:
-        return load_table(os.path.join(cache_dir, f"table_{min(limits)}.bin"), N)
+        return load_table(os.path.join(cache_dir, f"table_{min(limits)}.hlm2"), N)
     tab = build_table(N)
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"table_{N}.bin")
+    path = os.path.join(cache_dir, f"table_{N}.hlm2")
     # a concurrent run sees either no table or a whole one, never a part
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -362,8 +369,9 @@ def table(N: int) -> ArithTable:
 
 
 class _LoadedTable(ArithTable):
-    """A table whose columns are the first `limit` entries of an HLM1
-    file's columns of `stride` entries each. The file stays open (and
+    """A table whose is_prime and mu are the first `limit` entries of an
+    HLM2 file's columns of `stride` entries each; its Lambda is derived
+    from that is_prime, as a built table's is. The file stays open (and
     closes with the table), so each read sees the file that load_table
     checked, even if its path has since been replaced."""
 
@@ -374,11 +382,11 @@ class _LoadedTable(ArithTable):
         weakref.finalize(self, fh.close)
 
     def _read(self, index: int, dtype) -> np.ndarray:
-        """Payload column `index` (0, 1 or 2) on [0, limit], read into its array."""
+        """Payload column `index` (0 or 1) on [0, limit], read into its array."""
         col = np.empty(self.limit + 1, dtype=dtype)
         col[0] = 0
         out = col[1:].view(np.uint8)
-        self._fh.seek(12 + index * self._stride)  # the 1-byte columns come first
+        self._fh.seek(12 + index * self._stride)
         done = 0
         while done < out.size:
             got = self._fh.readinto(out[done:])
@@ -396,7 +404,3 @@ class _LoadedTable(ArithTable):
     @cached_property
     def mobius(self) -> np.ndarray:
         return self._read(1, np.int8)
-
-    @cached_property
-    def vonmangoldt(self) -> np.ndarray:
-        return self._read(2, "<f8")

@@ -12,9 +12,10 @@ module is the only writer of both formats; a report holding a NaN or an
 infinity is a validation error, raised before any --out file is opened.
 
 Config file: key=value lines loaded before flag parsing; flags win.
-HLM_DATA_DIR, when set, caches sieve tables as table_<N>.bin: a run reads
-the smallest cached table whose limit is at least N, as a prefix, and
-otherwise sieves and caches its own (arith.table).
+HLM_DATA_DIR, when set, caches sieve tables as table_<N>.hlm2 (is_prime
+and mu, 2 B/n; Lambda is always derived): a run reads the smallest cached
+table whose limit is at least N, as a prefix, and otherwise sieves and
+caches its own (arith.table). Old table_<N>.bin caches are never read.
 
 Exit codes: 0 success, 1 usage error or unreadable/unwritable file,
 2 validation error (degenerate system, bad parameter, work past a cap,
@@ -26,7 +27,6 @@ import argparse
 import contextlib
 import csv
 import datetime
-import itertools
 from fractions import Fraction
 import json
 import math
@@ -42,8 +42,7 @@ from ._rng import Stream
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {self.prog}: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -110,8 +109,8 @@ def _jsonable(v):
 
 
 def _weights(tab: arith.ArithTable, name: str, N: int) -> np.ndarray:
-    """The named column on [1, N] as the table stores it (mu stays int8);
-    only that column is read."""
+    """The named column on [1, N] in its own dtype (mu stays int8); only
+    that column is made (Lambda from is_prime)."""
     return getattr(tab, {"lambda": "vonmangoldt", "mobius": "mobius"}[name])[1 : N + 1]
 
 
@@ -122,24 +121,11 @@ def cmd_sieve(args) -> int:
     results = {
         "pi": int(tab.is_prime.sum()),
         "mertens": int(tab.mobius[1:].sum(dtype=np.int64)),
-        "mean_vonmangoldt": _mean_vonmangoldt(tab),
+        "mean_vonmangoldt": arith.mean_vonmangoldt(tab),
         "dumped_to": args.dump,
     }
     _emit(_envelope("sieve", args, {"N": args.n}, results), args)
     return 0
-
-
-def _mean_vonmangoldt(tab) -> float:
-    """E_{n<=N} Lambda(n) from the primes alone: the correctly rounded sum
-    of log p over every prime power p^k <= N (the float the column holds
-    there) over N. fsum's sum does not depend on the order of its terms,
-    so this is the mean of the column's nonzero values, with no Lambda
-    block made; the primes are read 2^16 values of n at a time."""
-    N, is_prime = tab.limit, tab.is_prime
-    _, higher = arith._prime_powers(np.flatnonzero(is_prime[: math.isqrt(N) + 1]), N, 2)
-    logs = (np.log((np.flatnonzero(is_prime[lo : lo + arith._BLOCK]) + lo).astype(np.float64))
-            .tolist() for lo in range(1, N + 1, arith._BLOCK))
-    return math.fsum(itertools.chain(higher.tolist(), itertools.chain.from_iterable(logs))) / N
 
 
 def cmd_expsum(args) -> int:

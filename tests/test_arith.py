@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,11 +229,12 @@ def test_balanced_function_cases():
 
 
 def test_dump_load_roundtrip(tmp_path, table_1e4):
-    path = tmp_path / "table.bin"
+    path = tmp_path / "table.hlm2"
     arith.dump_table(table_1e4, path)
     raw = path.read_bytes()
-    assert raw[:4] == b"HLM1"
+    assert raw[:4] == b"HLM2"
     assert int.from_bytes(raw[4:12], "little") == 10**4
+    assert len(raw) == 12 + 2 * 10**4  # is_prime and mu only
     back = arith.load_table(path)
     assert back.limit == table_1e4.limit
     assert np.array_equal(back.is_prime, table_1e4.is_prime)
@@ -288,6 +290,12 @@ def test_load_rejects_corruption(tmp_path, table_1e4):
     cut.write_bytes(bytes(data[:7]))
     with pytest.raises(ValueError, match="header"):
         arith.load_table(cut)
+    # the old HLM1 layout (is_prime, mu and Lambda as f64, 12 + 10 N bytes)
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"HLM1" + bytes(data[4:]) + table_1e4.vonmangoldt[1:].astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="magic") as exc:
+        arith.load_table(old)
+    assert "\n" not in str(exc.value)
 
 
 def test_columns_are_allocated_only_when_read(tmp_path, traced_peak):
@@ -313,8 +321,8 @@ def test_loaded_table_reads_the_file_it_checked(tmp_path, table_1e4):
 
 
 def test_dump_writes_the_columns_without_copies(tmp_path, table_1e6, traced_peak):
-    # every column is made first, so only the dump itself is traced
-    for col in (table_1e6.is_prime, table_1e6.mobius, table_1e6.vonmangoldt):
+    # both stored columns are made first, so only the dump itself is traced
+    for col in (table_1e6.is_prime, table_1e6.mobius):
         assert col.size == 10**6 + 1
     assert traced_peak(lambda: arith.dump_table(table_1e6, tmp_path / "t.bin")) < 1 << 20
 
@@ -328,32 +336,17 @@ def test_vonmangoldt_blocks_are_the_column(N):
     assert [b.size for b in blocks] == [min(1 << 16, N + 1 - lo) for lo in starts]
     column = arith.build_table(N).vonmangoldt
     assert np.concatenate(blocks).tobytes() == column[1:].tobytes()
-    # a table whose column was read yields slices of it
-    read = arith.ArithTable(N, vonmangoldt=column)
-    assert all(np.shares_memory(b, column) for b in arith.vonmangoldt_blocks(read))
 
 
-def test_dump_streams_lambda_when_the_column_was_never_read(tmp_path):
-    N = 3 * 2**16 + 5
-    fresh, read = arith.build_table(N), arith.build_table(N)
-    read.vonmangoldt
-    arith.dump_table(fresh, tmp_path / "fresh.bin")
-    arith.dump_table(read, tmp_path / "read.bin")
-    assert "vonmangoldt" not in fresh.__dict__
-    assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "read.bin").read_bytes()
-    for name in ("fresh", "read"):
-        back = arith.load_table(tmp_path / f"{name}.bin")
-        for col in ("is_prime", "mobius", "vonmangoldt"):
-            assert getattr(back, col).tobytes() == getattr(read, col).tobytes(), (name, col)
-
-
-def test_dump_without_the_lambda_column_holds_a_few_blocks(tmp_path, traced_peak):
-    # is_prime and mu are made first; Lambda's 8 B/n column (8 MB here) is
-    # not made, only blocks of 2^16 values
+def test_dump_never_makes_lambda(tmp_path, traced_peak):
+    # is_prime and mu are made first; the file holds no Lambda, so the dump
+    # makes neither its 8 B/n column (8 MB here) nor a block of it
     tab = arith.build_table(10**6)
     tab.is_prime, tab.mobius
-    assert traced_peak(lambda: arith.dump_table(tab, tmp_path / "t.bin")) <= 4 * 8 << 16
-    assert "vonmangoldt" not in tab.__dict__
+    build = mock.Mock(wraps=arith.vonmangoldt_progression)
+    with mock.patch.object(arith, "vonmangoldt_progression", build):
+        assert traced_peak(lambda: arith.dump_table(tab, tmp_path / "t.hlm2")) <= 4 * 8 << 16
+    assert "vonmangoldt" not in tab.__dict__ and not build.called
 
 
 def test_load_refuses_a_huge_header_before_allocating(tmp_path, traced_peak):

@@ -645,7 +645,6 @@ def test_weighted_zero_weights():
         limit=N,
         is_prime=np.zeros(N + 1, dtype=bool),
         mobius=np.zeros(N + 1, dtype=np.int8),
-        vonmangoldt=np.zeros(N + 1),
     )
     assert counting.weighted_ap_average(zero, N, 3) == 0.0
     assert counting.weighted_ap_average(zero, N, 4) == 0.0

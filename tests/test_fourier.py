@@ -77,8 +77,8 @@ SPOT_THETAS = (0.0, 0.5, 1 / 3)
 
 @pytest.fixture(scope="module")
 def dumped_1e6(tmp_path_factory):
-    """A fresh table at 10^6 dumped (its Lambda streamed, never made whole)."""
-    path = tmp_path_factory.mktemp("tables") / "t.bin"
+    """A fresh table at 10^6 dumped (is_prime and mu; a load derives Lambda)."""
+    path = tmp_path_factory.mktemp("tables") / "t.hlm2"
     arith.dump_table(arith.build_table(10**6), path)
     return path
 
