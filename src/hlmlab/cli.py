@@ -28,6 +28,7 @@ import contextlib
 import csv
 import datetime
 from fractions import Fraction
+import itertools
 import json
 import math
 import sys
@@ -38,6 +39,8 @@ import numpy as np
 from . import __version__, acceptance, arith, counting, fourier, gowers, linsys, nilseq, obstruction
 from ._phase import frac01
 from ._rng import Stream
+
+_JSON_BATCH = 4096  # encoder chunks joined into one string before the write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,12 +93,14 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
             wr.writerow(csv_header)
             wr.writerows(csv_rows)
         return
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_jsonable)
-    if args.out is None:
-        print(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    # json.dumps's text without its list of every chunk (most a few bytes,
+    # each a str object), written only once the whole report has encoded
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False,
+                              default=_jsonable).iterencode(report)
+    batches = list(iter(lambda: "".join(itertools.islice(chunks, _JSON_BATCH)), ""))
+    with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as fh:
+        fh.writelines(batches)
+        fh.write("\n")
 
 
 def _jsonable(v):

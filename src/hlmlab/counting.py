@@ -18,8 +18,9 @@ indicator, the powers of 2 and 3 for Lambda). A progression with every
 term prime to 6 has 6 | d and lies in one class, where it is summed on
 arrays about N/6 long; every other progression is walked from R, keyed
 on its first term there. ap_sum builds the views from full-length
-sequences when each R is sparse; weighted_ap_average takes Lambda's
-straight from the sieve (arith.vonmangoldt_classes). Dense input, such
+sequences when each R is sparse; weighted_ap_average builds Lambda's
+from the table's primality segments (arith.vonmangoldt_classes), with
+no is_prime column the table does not hold already. Dense input, such
 as the obstruction sets and the log weights, keeps the whole-array
 routes: for k = 3 with f_1 = f_3, x + z = 2y split by the parity of x
 and z (W = 2), each class one equation_sum on (-1, 1, 1), about N long;
@@ -560,14 +561,15 @@ def ap_cells(N: int, k: int) -> int:
 def weighted_ap_average(table: ArithTable, N: int, k: int) -> float:
     """E over {AP system solutions in [1,N]^k} of the Lambda product.
 
-    Lambda is read as its W = 6 view, sieved from is_prime: the class
-    arrays 1 and 5 mod 6 and the powers of 2 and 3 (arith.vonmangoldt_classes),
-    summed by ap_sum's class split; the full-length column is never made.
+    Lambda is read as its W = 6 view, built from the table's primality
+    segments: the class arrays 1 and 5 mod 6 and the powers of 2 and 3
+    (arith.vonmangoldt_classes), summed by ap_sum's class split; neither
+    Lambda's column nor, unless the table holds it, is_prime's is made.
     """
     check_ap_k(k, weighted=True)
     if N > table.limit:
         raise ValueError(f"N={N} beyond table limit {table.limit}")
-    classes, R, values = vonmangoldt_classes(table.is_prime, N)
+    classes, R, values = vonmangoldt_classes(table, N)
     lam = _View(N, classes, R, values)
     total = 2.0 * _class_split((lam,) * k, False)  # d < 0 mirrors d > 0
     powers = (*(c[c != 0] for c in classes), values)  # d = 0, on the prime powers

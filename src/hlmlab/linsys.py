@@ -40,9 +40,10 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import prime_sieve
+from .arith import DEFAULT_LIMIT_CAP, CapacityError, prime_sieve
 
 ENUMERATION_CAP = 10**7
+_TAIL_BLOCK = 1 << 16  # tail primes per block of singular_series' |log alpha_p| sums
 
 
 class DegenerateSystem(ValueError):
@@ -318,10 +319,13 @@ def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:
     independently per prime; the product always accumulates in
     ascending p in double precision. tail_estimate extrapolates partial
     sums of |log alpha_p| over (P0, 10*P0] linearly in 1/p to the
-    1/p -> 0 intercept. P0 < 2 raises ValueError.
+    1/p -> 0 intercept. P0 < 2 raises ValueError, and 10 * P0 past
+    DEFAULT_LIMIT_CAP CapacityError, before any sieve.
     """
     if P0 < 2:
         raise ValueError(f"need P0 >= 2, got P0 = {P0}")
+    if 10 * P0 > DEFAULT_LIMIT_CAP:
+        raise CapacityError(f"10 * P0 = {10 * P0} exceeds cap {DEFAULT_LIMIT_CAP}")
     system = primitive_system(system)
     patterns = _zero_pattern_ranks(system)
     primes = np.flatnonzero(prime_sieve(10 * P0))
@@ -335,10 +339,15 @@ def singular_series(system: LinearSystem, P0: int = 10**4) -> SingularSeries:
 
     tail_primes = primes[primes > P0]
     if tail_primes.size >= 4:
-        logs = np.abs(np.log(_alpha_float(patterns, system, tail_primes)))
-        csum = np.cumsum(logs)
         marks = _tail_marks(tail_primes.size)
-        slope, intercept = np.polyfit(1.0 / tail_primes[marks].astype(float), csum[marks], 1)
+        at_marks, csum = np.empty(marks.size), np.zeros(1)
+        for lo in range(0, tail_primes.size, _TAIL_BLOCK):
+            logs = np.log(_alpha_float(patterns, system, tail_primes[lo : lo + _TAIL_BLOCK]))
+            # the last partial sum leads the block, so each is the whole cumsum's float
+            csum = np.cumsum(np.concatenate((csum[-1:], np.abs(logs))))[1:]
+            inside = (marks >= lo) & (marks < lo + csum.size)
+            at_marks[inside] = csum[marks[inside] - lo]
+        slope, intercept = np.polyfit(1.0 / tail_primes[marks].astype(float), at_marks, 1)
         tail = float(max(intercept, csum[-1]))
     else:
         tail = 0.0

@@ -193,7 +193,7 @@ def test_vonmangoldt_classes_match_the_column(table_1e4, table_1e6):
     # and 27 in R
     tables = [(N, arith.build_table(N)) for N in range(1, 41)]
     for N, tab in tables + [(10**4, table_1e4), (10**6, table_1e6)]:
-        (ones, fives), R, values = arith.vonmangoldt_classes(tab.is_prime, N)
+        (ones, fives), R, values = arith.vonmangoldt_classes(tab, N)
         lam = tab.vonmangoldt
         assert ones.tobytes() == lam[1::6].tobytes()
         assert fives.tobytes() == lam[5::6].tobytes()
@@ -201,6 +201,55 @@ def test_vonmangoldt_classes_match_the_column(table_1e4, table_1e6):
         assert values.tobytes() == lam[R].tobytes()
     assert {4, 8, 9, 27} <= set(R.tolist())
     assert ones[25 // 6] == fives[121 // 6] == lam[5] and ones[49 // 6] == lam[7]
+
+
+def whole_array_prime_sieve(N: int) -> np.ndarray:
+    """The unsegmented sieve: each prime's multiples from p^2 crossed off
+    all of [0, N] at once."""
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return is_prime
+
+
+def test_segmented_prime_sieve_equals_the_whole_array_sieve():
+    S = arith._SEGMENT
+    for N in (*range(41), S - 1, S, S + 1, 10**6 + 7):
+        assert np.array_equal(arith.prime_sieve(N), whole_array_prime_sieve(N)), N
+
+
+def test_classes_from_sieved_segments_equal_the_classes_from_the_column():
+    # a table that was never read sieves its segments afresh and never
+    # makes is_prime; one holding the column reads the classes off it
+    S = arith._SEGMENT
+    for N, M in [(N, N) for N in range(1, 41)] + [(S + 1, S + 1), (10**6 + 7, 10**6 + 7),
+                                                 (10**6 + 7, S - 1), (10**5, 5000)]:
+        fresh = arith.build_table(N)
+        got = arith.vonmangoldt_classes(fresh, M)
+        assert "is_prime" not in fresh.__dict__
+        want = arith.vonmangoldt_classes(arith.ArithTable(N, is_prime=whole_array_prime_sieve(N)), M)
+        for a, b in zip((*got[0], *got[1:]), (*want[0], *want[1:])):
+            assert a.tobytes() == b.tobytes(), (N, M)
+
+
+def test_a_table_holding_its_column_hands_out_slices_of_it(tmp_path):
+    S = arith._SEGMENT
+    N = 2 * S + 5
+    col = whole_array_prime_sieve(N)
+    read = arith.build_table(N)
+    read.is_prime
+    arith.dump_table(read, tmp_path / "t.hlm2")
+    tables = {"injected": arith.ArithTable(N, is_prime=col), "read": read,
+              "loaded": arith.load_table(tmp_path / "t.hlm2")}
+    with mock.patch.object(arith, "_prime_segments", side_effect=AssertionError("sieved")):
+        for name, tab in tables.items():
+            for M in (N, S + 3, 7):
+                segs = list(tab.prime_segments(M))
+                assert [lo for lo, _ in segs] == list(range(0, M + 1, S)), name
+                assert all(np.shares_memory(seg, tab.is_prime) for _, seg in segs), name
+                assert np.concatenate([seg for _, seg in segs]).tobytes() == col[: M + 1].tobytes()
 
 
 def default_w_params(b: int = 1) -> arith.WTrickParams:

@@ -267,10 +267,23 @@ def test_phase_spectral_children_stay_near_the_help_child(tmp_path):
 def test_weighted_ap_count_child_stays_near_the_help_child():
     # as above; the weighted 3-AP average at 3*10^6 read +27.1 MB with one
     # transform of 500,000 points per parity class, and +16.8 MB with each
-    # read as R = 8 frequency classes of 62,500 points
+    # read as R = 8 frequency classes of 62,500 points. It read +17.2 MB
+    # with the 3 MB is_prime column sieved whole and json.dumps's chunk
+    # list, and +14.3 MB with Lambda's classes taken from sieved segments
+    # and the chunks joined in batches
     peak_mb = child_peaks_mb({"help": ["--help"],
                               "weighted": ["count", "--k", "3", "--weighted", "--n", "3000000"]})
-    assert peak_mb["weighted"] - peak_mb["help"] <= 20, peak_mb
+    assert peak_mb["weighted"] - peak_mb["help"] <= 16, peak_mb
+
+
+def test_singular_child_stays_near_the_help_child():
+    # as above; the 4-AP series to 2*10^5 (17,984 factors in the report)
+    # read +17.2 MB with |log alpha_p| over all 130,949 tail primes at once
+    # and json.dumps's list of every chunk, and +12.1 MB with the tail in
+    # blocks of 2^16 primes and the chunks joined in batches
+    peak_mb = child_peaks_mb({"help": ["--help"], "singular": [
+        "singular", "--system", "1,-2,1,0;0,1,-2,1", "--p-max", "200000"]})
+    assert peak_mb["singular"] - peak_mb["help"] <= 14, peak_mb
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count():
@@ -419,6 +432,36 @@ def test_report_determinism(capsys, tmp_path):
     assert strip(out_a.read_text()) == strip(out_b.read_text())
 
 
+def test_json_reports_are_the_dumps_text(capsys, tmp_path):
+    # _emit joins the encoder's chunks in batches of cli._JSON_BATCH; the
+    # text is json.dumps's, byte for byte, across many batch boundaries
+    code, out, _ = run_cli(capsys, "singular", "--system", "1,-2,1,0;0,1,-2,1",
+                           "--p-max", "20000")
+    assert code == 0
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    assert sum(1 for _ in chunks) > 3 * cli._JSON_BATCH
+    path = tmp_path / "acceptance.json"
+    code, _, _ = run_cli(capsys, "acceptance", "--out", str(path))
+    assert code == 3  # A4 is red at its frozen sizes
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_a_nan_late_in_a_report_writes_nothing(capsys, tmp_path, monkeypatch):
+    # the NaN product follows a few batches of factors: a report is written
+    # only once all of it has encoded, so nothing reaches stdout or --out
+    factors = {p: Fraction(p, p - 1) for p in range(2, 3000)}
+    monkeypatch.setattr(linsys, "singular_series",
+                        lambda system, P0: linsys.SingularSeries(factors, math.nan, P0, 0.0))
+    out_file = tmp_path / "report.json"
+    for out_args in ([], ["--out", str(out_file)]):
+        code, out, err = run_cli(capsys, "singular", "--system", "1,-2,1", *out_args)
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=1000\nk=3\n")
@@ -475,6 +518,7 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
         ["gowers", "--input", "{tmp}/one_value.csv"],
         ["gowers", "--input", "{tmp}/one_row.csv"],
         ["singular", "--system", "1,-2,1", "--p-max", "-5"],
+        ["singular", "--system", "1,-2,1", "--p-max", str(arith.DEFAULT_LIMIT_CAP // 10 + 1)],
         ["gowers", "--m", "64", "--k", "-1", "--method", "bruteforce"],
         ["gowers", "--m", "64", "--k", "0", "--method", "bruteforce"],
         ["gowers", "--m", "64", "--k", "5", "--method", "bruteforce"],
@@ -497,15 +541,18 @@ def test_bad_file_arguments_end_in_one_error_line(capsys, tmp_path, argv):
          "count-cells-over-cap", "count-samples-over-cap", "count-montecarlo-past-int64",
          "count-enumeration-past-int64", "singular-non-saturated", "count-non-saturated",
          "arcs-grid-zero", "arcs-grid-negative", "gowers-empty-input", "gowers-one-value",
-         "gowers-one-row", "singular-p-max-negative", "gowers-bruteforce-k-negative",
+         "gowers-one-row", "singular-p-max-negative", "singular-p-max-over-cap",
+         "gowers-bruteforce-k-negative",
          "gowers-bruteforce-k-zero", "gowers-bruteforce-k-five", "arcs-exponent-inf",
          "arcs-exponent-1e20", "arcs-exponent-1e300", "expsum-theta-product-overflow",
          "typesums-phase-product-overflow", "typesums-phase-n-over-cap",
          "nilseq-character-overflow", "nilseq-character-overflow-csv",
          "nilseq-character-past-float"],
 )
-def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, argv):
+def test_bad_input_ends_in_one_validation_error(capsys, tmp_path, monkeypatch, argv):
     out_file = tmp_path / "report.out"
+    # every singular case is refused before its sieve of 10 * P0 bytes
+    monkeypatch.setattr(linsys, "prime_sieve", lambda N: pytest.fail(f"sieved {N}"))
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "one_value.csv").write_text("0.5\n")
     (tmp_path / "one_row.csv").write_text("0.1,0.2,0.3,0.4\n")
@@ -621,28 +668,11 @@ def _fuzz_data_dir(root: Path, kind: str, M: int):
     return path
 
 
-# --oversample is left out: expsum's sup grid has no size bound yet, so a
-# drawn value could ask for a transform of any length
-@settings(max_examples=200, deadline=None, database=None)
-@seed(32)
-@given(command=st.sampled_from(["sieve", "expsum", "typesums", "gowers"]),
-       n=_FUZZ_SIZES, weights=st.sampled_from(["lambda", "mobius"]),
-       theta=st.sampled_from(["0.5", "0", "0.125", "nan", "inf", "1e308", "x"]),
-       d=st.sampled_from(["10", "30", "30", "0", "-1", "nan", "100000"]),
-       w=st.sampled_from([None, None, "30", "0", "abc"]),
-       data_dir=st.sampled_from(_FUZZ_DATA_DIRS), limit=st.sampled_from([10, 10**4]),
-       use_out=st.booleans())
-def test_fuzzed_table_commands_end_in_a_documented_exit(command, n, weights, theta, d, w,
-                                                        data_dir, limit, use_out):
-    # each case runs twice in one data directory, the second time reading
-    # any table the first cached; both must exit with a documented code,
-    # print nothing on stdout after a refusal, write exactly one stderr
-    # line and no --out file then, raise no warning, and agree
-    argv = {"sieve": ["sieve", "--n", n],
-            "expsum": ["expsum", "--n", n, "--theta", theta, "--weights", weights],
-            "typesums": ["typesums", "--n", n, "--d", d, "--weights", weights]
-                        + ([] if w is None else ["--w", w]),
-            "gowers": ["gowers", "--m", n, "--k", "2", "--weights", weights]}[command]
+def run_fuzz_case(argv, data_dir: str, limit: int, use_out: bool) -> None:
+    """Run one fuzz case twice in one data directory, the second time
+    reading any table the first cached; both must exit with a documented
+    code, print nothing on stdout after a refusal, write exactly one stderr
+    line and no --out file then, raise no warning, and agree."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         cache = _fuzz_data_dir(root, data_dir, limit)
@@ -675,6 +705,52 @@ def test_fuzzed_table_commands_end_in_a_documented_exit(command, n, weights, the
                         out_file.unlink()
                 runs.append((code, strip_timestamp(out)))
         assert runs[0] == runs[1], argv
+
+
+# --oversample is left out: expsum's sup grid has no size bound yet, so a
+# drawn value could ask for a transform of any length
+@settings(max_examples=200, deadline=None, database=None)
+@seed(32)
+@given(command=st.sampled_from(["sieve", "expsum", "typesums", "gowers"]),
+       n=_FUZZ_SIZES, weights=st.sampled_from(["lambda", "mobius"]),
+       theta=st.sampled_from(["0.5", "0", "0.125", "nan", "inf", "1e308", "x"]),
+       d=st.sampled_from(["10", "30", "30", "0", "-1", "nan", "100000"]),
+       w=st.sampled_from([None, None, "30", "0", "abc"]),
+       data_dir=st.sampled_from(_FUZZ_DATA_DIRS), limit=st.sampled_from([10, 10**4]),
+       use_out=st.booleans())
+def test_fuzzed_table_commands_end_in_a_documented_exit(command, n, weights, theta, d, w,
+                                                        data_dir, limit, use_out):
+    argv = {"sieve": ["sieve", "--n", n],
+            "expsum": ["expsum", "--n", n, "--theta", theta, "--weights", weights],
+            "typesums": ["typesums", "--n", n, "--d", d, "--weights", weights]
+                        + ([] if w is None else ["--w", w]),
+            "gowers": ["gowers", "--m", n, "--k", "2", "--weights", weights]}[command]
+    run_fuzz_case(argv, data_dir, limit, use_out)
+
+
+_FUZZ_SYSTEMS = ("1,-2,1", "1,1,-2", "1,1,1,-3", "1,-2,1,0;0,1,-2,1", "2,-4,2",
+                 "1,-1,1,1;-3,1,3,1", "1,-1,0", "1,2", "0,0,0", "1;2", "1,2,3;4,5", "1,,2",
+                 "x", "")
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@seed(33)
+@given(system=st.sampled_from(_FUZZ_SYSTEMS),
+       p_max=st.sampled_from(["0", "1", "2", "-1", "10000",
+                              str(arith.DEFAULT_LIMIT_CAP // 10 + 1), "nan", "abc"]),
+       use_out=st.booleans())
+def test_fuzzed_singular_ends_in_a_documented_exit(system, p_max, use_out):
+    run_fuzz_case(["singular", "--system", system, "--p-max", p_max], "unset", 10, use_out)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@seed(33)
+@given(k=st.sampled_from(["-1", "0", "2", "3", "4", "5"]), n=_FUZZ_SIZES,
+       weighted=st.booleans(), data_dir=st.sampled_from(_FUZZ_DATA_DIRS),
+       limit=st.sampled_from([10, 10**4]), use_out=st.booleans())
+def test_fuzzed_ap_counts_end_in_a_documented_exit(k, n, weighted, data_dir, limit, use_out):
+    argv = ["count", "--k", k, "--n", n] + (["--weighted"] if weighted else [])
+    run_fuzz_case(argv, data_dir, limit, use_out)
 
 
 def test_count_parses_the_system_once_before_the_table(capsys, tmp_path, monkeypatch):

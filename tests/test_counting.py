@@ -570,10 +570,12 @@ def test_ap3_stays_within_a_multiple_of_its_input(table_1e6, traced_peak):
     for f, bound in ((lam, 0.75), (isp, 7.5)):
         assert traced_peak(lambda: counting.ap_sum((f, f, f))) <= bound * f.nbytes
     assert traced_peak(lambda: counting.weighted_ap_average(table_1e6, N, 3)) <= 0.8 * lam.nbytes
-    # with the sieve of is_prime inside: Lambda is only ever made as its
-    # class arrays, 1/3 of a full-length column
-    fresh = traced_peak(lambda: counting.weighted_ap_average(arith.build_table(N), N, 3))
-    assert fresh <= 1.0 * 8 * N
+    # with the sieve inside: Lambda is only ever made as its class arrays,
+    # 1/3 of a full-length column, from sieved segments of the primality,
+    # so a table that never held is_prime does not make it
+    fresh_table = arith.build_table(N)
+    fresh = traced_peak(lambda: counting.weighted_ap_average(fresh_table, N, 3))
+    assert fresh <= 1.0 * 8 * N and "is_prime" not in fresh_table.__dict__
 
 
 def test_count_ap_primes_frozen_examples(table_1e4):

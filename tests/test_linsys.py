@@ -184,6 +184,32 @@ def test_singular_series_ap4_tracks_closed_form():
     assert all(a >= 0 for a in series.local_factors.values())
 
 
+def whole_array_tail(system, P0):
+    """singular_series' tail estimate with |log alpha_p| and its cumsum
+    taken over every tail prime at once."""
+    system = linsys.primitive_system(system)
+    patterns = linsys._zero_pattern_ranks(system)
+    primes = np.flatnonzero(linsys.prime_sieve(10 * P0))
+    tail_primes = primes[primes > P0]
+    csum = np.cumsum(np.abs(np.log(linsys._alpha_float(patterns, system, tail_primes))))
+    marks = linsys._tail_marks(tail_primes.size)
+    _, intercept = np.polyfit(1.0 / tail_primes[marks].astype(float), csum[marks], 1)
+    return float(max(intercept, csum[-1]))
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+def test_blocked_tail_is_the_whole_array_tail(block, monkeypatch):
+    # 10^5 and 2*10^5 have 68,906 and 130,949 tail primes, two blocks of
+    # 2^16 each, the second a short one; blocks of 1000 cut them 69 and
+    # 131 times
+    if block:
+        monkeypatch.setattr(linsys, "_TAIL_BLOCK", block)
+    for system, P0 in ((linsys.AP3, 10**5), (linsys.AP4, 2 * 10**5),
+                       (linsys.new_system([[1, 1, -2]]), 2 * 10**5)):
+        got = linsys.singular_series(system, P0).tail_estimate
+        assert got.hex() == whole_array_tail(system, P0).hex(), (system, P0)
+
+
 def test_tail_marks_are_the_distinct_sorted_marks():
     for size in range(4, 201):
         want = np.unique(np.linspace(size // 4, size - 1, 8).astype(int))
